@@ -11,8 +11,8 @@
 //!   ([`dataflow::TypeDomain`]); reachability falls out of the driver.
 //! - [`validator`]: [`validate_lowering`] statically proves the
 //!   pre-decoded `LInstr` stream equivalent to the bytecode it was
-//!   lowered from — effect equality per slot (fused superinstructions
-//!   decomposed independently), pc↔slot bijectivity, fusion legality.
+//!   lowered from (the JIT's compile input) — effect equality per slot
+//!   and pc↔slot bijectivity.
 //!   [`regvalidator`] extends the proof to the register tier:
 //!   [`validate_register_lowering`] runs the byte form and the
 //!   register form symbolically in lockstep per basic block and

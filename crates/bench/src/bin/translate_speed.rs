@@ -14,7 +14,7 @@
 //! * `artifact` — `ModuleArtifact::new`, i.e. validate + shared-code
 //!   build, the cache-miss cost inside `ArtifactCache::lookup`;
 //! * `lower`    — `lower_all()` on a pre-built artifact (pre-decoded
-//!   sidetable form for the lowered interpreter and JIT);
+//!   sidetable form the JIT compiles from);
 //! * `cold`/`warm` — `Process::new` from scratch vs `ArtifactCache`
 //!   hit + `Process::instantiate` (link-only), imports resolved through
 //!   the standard host shims.

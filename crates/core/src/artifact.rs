@@ -14,10 +14,10 @@
 //! The paper's non-intrusiveness guarantee is preserved per process by the
 //! **copy-on-write instrumentation overlay**
 //! ([`FuncOverlay`](crate::code::FuncOverlay)): uninstrumented processes
-//! execute directly from the artifact's shared lowered slots, and the
-//! first probe a process installs in a function copies just that
-//! function's bytes and lowered slots into process-local storage. Sibling
-//! processes of the same artifact never observe the probe.
+//! execute directly from the artifact's shared bytes and baseline code,
+//! and the first probe a process installs in a function copies just that
+//! function's bytes into process-local storage. Sibling processes of the
+//! same artifact never observe the probe.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -57,8 +57,8 @@ use crate::regir::RegModule;
 /// bytecode, validation metadata, and the lazily-built-once lowered form
 /// and probe-free baseline JIT code.
 ///
-/// Everything mutable about a function at runtime — probe bytes, the
-/// copy-on-write op stream, compiled-code slots, hotness — lives in the
+/// Everything mutable about a function at runtime — probe bytes,
+/// compiled-code slots, hotness — lives in the
 /// per-process [`FuncOverlay`](crate::code::FuncOverlay) instead.
 #[derive(Debug)]
 pub struct FuncArtifact {

@@ -1,23 +1,26 @@
-//! The classic byte-walking interpreter: the pre-lowering dispatch loop,
-//! kept as a selectable engine configuration
-//! ([`Dispatch::Bytecode`](crate::Dispatch)).
+//! The in-place interpreter: the engine's only stack interpreter, the
+//! default tier ([`Dispatch::Bytecode`](crate::Dispatch)) and the target
+//! of every demotion and deoptimization.
 //!
-//! This is the in-place dispatch the engine shipped with before the
-//! lowered code cache ([`crate::lowered`]): it walks raw bytecode,
-//! LEB128-decodes immediates on every execution, and resolves branches
-//! through the validator's per-pc side-table `HashMap`. It is retained for
-//! two reasons:
+//! It walks the function's bytecode directly — no rewritten copy of the
+//! code — decoding LEB128 immediates as it goes and resolving branches
+//! through the validator's side table, as in Titzer's in-place
+//! interpreter for WebAssembly. Everything the paper builds on the
+//! interpreter happens here:
 //!
-//! * the `dispatch_speed` benchmark measures the lowered pipeline *against*
-//!   this loop, so the decode-tax win stays measurable instead of becoming
-//!   folklore;
-//! * the differential test suite runs programs under both dispatchers and
-//!   requires identical results, traps, and probe behavior — byte-walking
-//!   is the semantic reference for the lowered fast path.
+//! * a 256-entry handler table, with a second all-stub table switched in
+//!   for global-probe mode (paper §4.1);
+//! * local probes by bytecode overwriting: the probe opcode replaces the
+//!   instruction's opcode byte in the process-local overlay, and its
+//!   handler fires the probes and re-dispatches the saved original
+//!   (§4.2);
+//! * the landing site for JIT deoptimization (§4.6) and for register
+//!   frames that demote when their function is instrumented, the process
+//!   enters global mode, or a fuel-metered slice starts;
+//! * exact fuel metering: one unit per bytecode instruction.
 //!
-//! Structure is identical to [`crate::interp`]: a 256-entry handler table,
-//! with a second all-stub table switched in for global-probe mode
-//! (paper §4.1), and bytecode overwriting for local probes (§4.2).
+//! It is also the semantic reference of the differential and conformance
+//! suites.
 
 use std::sync::LazyLock;
 
@@ -32,7 +35,7 @@ use crate::trap::Trap;
 use crate::value::Slot;
 use crate::ExecMode;
 
-/// A classic interpreter handler: executes one instruction from raw bytes
+/// An interpreter handler: executes one instruction from raw bytes
 /// (including advancing the byte pc) or raises a [`Sig`].
 pub(crate) type Handler = fn(&mut Exec, u8) -> Result<(), Sig>;
 
@@ -100,11 +103,21 @@ fn build_normal() -> [Handler; 256] {
 /// *byte* pc throughout.
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     debug_assert_eq!(ex.frames.last().map(|f| f.tier), Some(Tier::Interp));
+    // Metering is fixed for the whole run; monomorphize the loop so the
+    // unmetered hot path carries no fuel checks at all.
+    if ex.metered {
+        run_loop::<true>(ex)
+    } else {
+        run_loop::<false>(ex)
+    }
+}
+
+fn run_loop<const METERED: bool>(ex: &mut Exec) -> Result<Exit, Trap> {
     loop {
         // Fuel metering (bounded runs only): one unit per bytecode
         // instruction, checked *before* dispatch so a suspension lands
         // before the instruction — and before its probes — execute.
-        if ex.metered {
+        if METERED {
             if ex.fuel == 0 {
                 ex.sync_pc();
                 return Ok(Exit::OutOfFuel);
@@ -121,7 +134,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
             }
         }
         let b = ex.code.byte(ex.pc);
-        match ex.ctable[b as usize](ex, b) {
+        match ex.table[b as usize](ex, b) {
             Ok(()) => {}
             Err(Sig::Done) => return Ok(Exit::Done),
             Err(Sig::Switch) => return Ok(Exit::Redispatch),
@@ -158,18 +171,25 @@ fn op_block(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
 fn op_loop(ex: &mut Exec, _b: u8) -> Result<(), Sig> {
     // Loop headers drive hotness-based tier-up with on-stack replacement
     // into compiled code — unless global-probe mode pins us to the
-    // interpreter (paper §4.1).
-    if ex.proc.config.mode == ExecMode::Tiered && !ex.proc.global_mode {
+    // interpreter (paper §4.1), or this is a fuel-metered slice under
+    // register dispatch (whose compiled code is register-shaped and does
+    // no fuel accounting; bounded runs stay in the interpreter end to
+    // end).
+    if ex.proc.config.mode == ExecMode::Tiered
+        && !ex.proc.global_mode
+        && !(ex.metered && ex.proc.config.dispatch == crate::Dispatch::Register)
+    {
         let fc = &ex.proc.code[ex.lf];
         let h = fc.hotness.get() + 1;
         fc.hotness.set(h);
         if h >= ex.proc.config.tierup_threshold {
             ex.proc.ensure_compiled(ex.lf);
             let compiled = ex.proc.code[ex.lf].compiled.borrow().clone().expect("just compiled");
-            if let Some(&ip) = compiled.code.osr_entry.get(&(ex.pc as u32)) {
+            if let Some(&(ip, skip)) = compiled.code.osr_entry.get(&(ex.pc as u32)) {
                 let f = ex.frames.last_mut().expect("frame");
                 f.tier = Tier::Jit;
                 f.cip = ip as usize;
+                f.fuel_skip = skip;
                 f.pc = ex.pc + 2; // unused while in JIT, kept sane
                 f.code_version = compiled.version();
                 ex.proc.stats.tier_ups += 1;

@@ -2,13 +2,13 @@
 //! half of the code pipeline.
 //!
 //! The immutable half — pristine bytecode, validation metadata, the shared
-//! lowered form — lives in the `Arc`-shared
+//! lowered form the JIT compiles from — lives in the `Arc`-shared
 //! [`FuncArtifact`]. A [`FuncOverlay`] owns
 //! everything one process may mutate about one function:
 //!
 //! * the **copy-on-write instrumented code**: the first probe installed in
-//!   a function copies its bytes and lowered op stream into process-local
-//!   storage ([`FuncOverlay::install_probe_byte`]), and removing the last
+//!   a function copies its bytes into process-local storage
+//!   ([`FuncOverlay::install_probe_byte`]), and removing the last
 //!   probe drops the copy again so the process *rejoins* the shared
 //!   artifact ([`FuncOverlay::restore_byte`]) — sibling processes of the
 //!   same artifact never observe either transition;
@@ -36,10 +36,8 @@ use wizard_wasm::validate::FuncMeta;
 
 use crate::artifact::FuncArtifact;
 use crate::jit::Compiled;
-use crate::lowered::{Lowered, LoweredView, OverlayOps};
 
-/// A process-local copy-on-write byte stream (mirrors
-/// [`OverlayOps`] one level down).
+/// A process-local copy-on-write byte stream.
 pub type OverlayBytes = Rc<[Cell<u8>]>;
 
 /// A function's bytecode as the execution tiers read it: the artifact's
@@ -82,6 +80,16 @@ impl CodeBytes {
     /// stream instead of the artifact's.
     pub fn is_overlaid(&self) -> bool {
         self.local.is_some()
+    }
+
+    /// Address of the byte stream this view reads (overlay copy if
+    /// present, shared otherwise) — the pointer identity used by sharing
+    /// assertions.
+    pub fn addr(&self) -> usize {
+        match &self.local {
+            Some(cells) => cells.as_ptr() as usize,
+            None => self.shared.as_ptr() as usize,
+        }
     }
 
     /// Reads the byte at `pc`.
@@ -157,9 +165,6 @@ pub struct FuncOverlay {
     art: Arc<FuncArtifact>,
     /// Copy-on-write instrumented bytecode; `None` while uninstrumented.
     bytes: RefCell<Option<OverlayBytes>>,
-    /// Copy-on-write lowered op stream, patched in tandem with `bytes`;
-    /// `None` while uninstrumented.
-    ops: RefCell<Option<OverlayOps>>,
     /// Original opcodes of probe-overwritten locations.
     pub orig: RefCell<HashMap<u32, u8>>,
     /// Instrumentation version; bumped (strictly monotonically — see
@@ -180,7 +185,6 @@ impl FuncOverlay {
         FuncOverlay {
             art,
             bytes: RefCell::new(None),
-            ops: RefCell::new(None),
             orig: RefCell::new(HashMap::new()),
             version: Cell::new(0),
             compiled: RefCell::new(None),
@@ -235,17 +239,6 @@ impl FuncOverlay {
         CodeBytes::with_overlay(Arc::clone(&self.art.bytes), self.bytes.borrow().clone())
     }
 
-    /// The lowered view the execution tiers dispatch through (lowering the
-    /// shared form on first demand): shared pristine slots, or the
-    /// patched overlay copy.
-    pub fn lowered_view(&self) -> LoweredView {
-        let low = (**self.art.lowered()).clone();
-        match &*self.ops.borrow() {
-            Some(ops) => LoweredView::overlaid(low, Rc::clone(ops)),
-            None => LoweredView::shared(low),
-        }
-    }
-
     /// The byte at `pc` as this process sees it.
     pub fn byte_at(&self, pc: usize) -> u8 {
         match &*self.bytes.borrow() {
@@ -268,98 +261,62 @@ impl FuncOverlay {
     /// copy-on-write copies; 0 while uninstrumented) — the "resident code
     /// size" a process pays only for the functions it instruments.
     pub fn overlay_size_bytes(&self) -> usize {
-        let bytes = self.bytes.borrow().as_ref().map_or(0, |b| b.len());
-        let ops = self
-            .ops
-            .borrow()
-            .as_ref()
-            .map_or(0, |o| o.len() * core::mem::size_of::<crate::lowered::LInstr>());
-        bytes + ops
+        self.bytes.borrow().as_ref().map_or(0, |b| b.len())
     }
 
-    /// Copies the shared bytes and lowered op stream into process-local
-    /// storage — the copy-on-write step. Returns the overlay handles;
-    /// idempotent after the first call.
-    fn materialize(&self) -> (OverlayBytes, OverlayOps, &Arc<Lowered>) {
-        let low = self.art.lowered();
-        let bytes = self
-            .bytes
+    /// Copies the shared bytes into process-local storage — the
+    /// copy-on-write step. Returns the overlay handle; idempotent after
+    /// the first call.
+    fn materialize(&self) -> OverlayBytes {
+        self.bytes
             .borrow_mut()
             .get_or_insert_with(|| self.art.bytes.iter().map(|&b| Cell::new(b)).collect())
-            .clone();
-        let ops = self.ops.borrow_mut().get_or_insert_with(|| low.cow_ops()).clone();
-        (bytes, ops, low)
+            .clone()
     }
 
-    /// Drops the copy-on-write copies: the process rejoins the shared
-    /// artifact (including its fused superinstructions — an overlay head
-    /// unfused by probe traffic re-fuses for free here, and probe-freeness
-    /// makes the shared baseline JIT code eligible again).
+    /// Drops the copy-on-write copy: the process rejoins the shared
+    /// artifact (and probe-freeness makes the shared baseline JIT code
+    /// eligible again).
     fn rejoin(&self) {
         debug_assert!(self.orig.borrow().is_empty(), "rejoin requires no live probe bytes");
         *self.bytes.borrow_mut() = None;
-        *self.ops.borrow_mut() = None;
     }
 
     /// Installs the probe opcode at `pc` on the overlay copy
     /// (materializing it if this is the function's first probe), saving
-    /// the original byte and patching the lowered slot in tandem.
-    /// Idempotent: installing twice keeps the original original.
+    /// the original byte. Idempotent: installing twice keeps the original
+    /// original.
     ///
     /// Returns `true` if this call materialized the overlay (the caller
     /// counts it in [`EngineStats::overlay_copies`](crate::EngineStats)).
     pub fn install_probe_byte(&self, pc: u32) -> bool {
         let copied = !self.has_overlay();
-        let (bytes, ops, low) = self.materialize();
+        let bytes = self.materialize();
         let cur = bytes[pc as usize].get();
         if cur == op::PROBE {
             return copied;
         }
         self.orig.borrow_mut().insert(pc, cur);
         bytes[pc as usize].set(op::PROBE);
-        let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-        low.patch_probe(&ops, slot);
         copied
     }
 
     /// Restores the original opcode at `pc` (when the last probe at the
-    /// location is removed), unpatching the lowered slot in tandem. When
-    /// the last probed location in the *function* is restored, the overlay
-    /// copies are dropped and the process rejoins the shared artifact.
+    /// location is removed). When the last probed location in the
+    /// *function* is restored, the overlay copy is dropped and the process
+    /// rejoins the shared artifact.
     ///
     /// Returns `true` if this call dropped the overlay (rejoined).
     pub fn restore_byte(&self, pc: u32) -> bool {
         let Some(orig) = self.orig.borrow_mut().remove(&pc) else {
             return false;
         };
-        let (bytes, ops, low) = self.materialize();
-        bytes[pc as usize].set(orig);
-        let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-        low.restore_op(&ops, slot, orig);
+        self.materialize()[pc as usize].set(orig);
         if self.orig.borrow().is_empty() {
             self.rejoin();
             return true;
         }
         false
-    }
-
-    /// Rebuilds the overlay copies from the shared artifact, re-applying
-    /// the currently-installed probe patches. Used by
-    /// [`Process::relower`](crate::Process::relower); probe traffic never
-    /// takes this path. A function with no overlay is left sharing the
-    /// artifact (nothing to rebuild).
-    pub fn rebuild_overlay(&self) {
-        if !self.has_overlay() {
-            return;
-        }
-        *self.bytes.borrow_mut() = None;
-        *self.ops.borrow_mut() = None;
-        let (bytes, ops, low) = self.materialize();
-        for &pc in self.orig.borrow().keys() {
-            bytes[pc as usize].set(op::PROBE);
-            let slot = low.slot_of(pc).expect("probe pc is an instruction boundary");
-            low.patch_probe(&ops, slot);
-        }
     }
 
     /// The original opcode at `pc`: the saved byte if overwritten, else the
@@ -459,37 +416,26 @@ mod tests {
     }
 
     #[test]
-    fn probe_patches_apply_to_lowered_in_tandem() {
+    fn probe_bytes_leave_the_shared_lowering_untouched() {
         let c = overlay();
-        // The shared lowered form fuses `const;add`; probing the const
-        // (pc 3, after nop + local.get) patches the overlay copy only.
-        let low_shared = c.artifact().lowered().clone();
-        let pc_const = 3; // nop; local.get 0; i32.const 5 starts at byte 3
+        // The JIT compiles from the shared lowered form and finds probe
+        // sites through the registry: probing the const (pc 3, after
+        // nop + local.get) overwrites only the overlay's byte.
+        let low = Arc::clone(c.artifact().lowered());
+        let before: Vec<u8> = (0..low.len()).map(|s| low.get(s).op).collect();
+        let pc_const = 3;
         c.install_probe_byte(pc_const);
-        let view = c.lowered_view();
+        let view = c.bytes_view();
         assert!(view.is_overlaid());
-        let slot = view.slot_of(pc_const).unwrap() as usize;
-        assert_eq!(view.get(slot).op, op::PROBE);
-        assert_eq!(crate::value::Slot(view.get(slot).z).i32(), 5, "immediates survive");
-        assert_ne!(low_shared.get(slot).op, op::PROBE, "shared form untouched");
-        // Restore rejoins: the view reads shared (re-fused) slots again.
+        assert_eq!(view.byte(pc_const as usize), op::PROBE);
+        assert_eq!(view.read_i32(pc_const as usize + 1).0, 5, "immediates survive");
+        assert_ne!(view.addr(), c.artifact().bytes.as_ptr() as usize);
+        let after: Vec<u8> = (0..low.len()).map(|s| low.get(s).op).collect();
+        assert_eq!(before, after, "shared lowering untouched");
+        assert!(Arc::ptr_eq(&low, c.artifact().lowered()));
+        // Restore rejoins: the view reads the shared bytes again.
         c.restore_byte(pc_const);
-        let view = c.lowered_view();
-        assert!(!view.is_overlaid());
-        assert_eq!(view.ops_addr(), low_shared.ops_addr());
-    }
-
-    #[test]
-    fn rebuild_overlay_preserves_probe_patches() {
-        let c = overlay();
-        c.install_probe_byte(1);
-        let before = c.lowered_view();
-        c.rebuild_overlay();
-        let after = c.lowered_view();
-        assert_ne!(before.ops_addr(), after.ops_addr(), "fresh copy");
-        let slot = after.slot_of(1).unwrap() as usize;
-        assert_eq!(after.get(slot).op, op::PROBE, "probe patch re-applied");
-        assert_eq!(c.byte_at(1), op::PROBE);
+        assert!(!c.bytes_view().is_overlaid());
     }
 
     #[test]

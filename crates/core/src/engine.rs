@@ -15,9 +15,8 @@ use crate::classic;
 use crate::code::FuncOverlay;
 use crate::exec::{Exec, ExecState, Exit};
 use crate::frame::Tier;
-use crate::interp;
 use crate::jit;
-use crate::lowered::LoweredView;
+use crate::lowered::Lowered;
 use crate::monitor::MonitorRegistry;
 use crate::probe::{BatchOp, Pending, Probe, ProbeBatch, ProbeId, ProbeRef, ProbeRegistry, Site};
 use crate::regint;
@@ -42,30 +41,29 @@ pub enum ExecMode {
 /// How the interpreter tier dispatches instructions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
-    /// Dispatch over the lowered code cache: fixed-width instructions with
-    /// pre-decoded immediates and pre-resolved branch targets, produced by
-    /// a one-time lowering pass per function (see [`crate::lowered`]).
+    /// The in-place interpreter: walks the bytecode directly, decoding
+    /// LEB128 immediates and resolving branches through the validator's
+    /// side table as it goes — no rewritten copy of the code. Local probes
+    /// overwrite opcode bytes (paper §4.2) and global probes switch the
+    /// dispatch table (§4.1). It is the default tier, the JIT's
+    /// deoptimization target (§4.6) and the semantic reference for
+    /// differential testing. Interpretation never lowers; the JIT lowers
+    /// a function when it compiles it, and probe-*location validation*
+    /// lowers the targeted function on demand (its `pc ↔ slot` map is the
+    /// instruction-boundary oracle).
     #[default]
-    Lowered,
-    /// Classic byte-walking dispatch: LEB128 immediates decoded and branch
-    /// side-table hashed on every execution. Kept as the measurable
-    /// pre-lowering baseline (`dispatch_speed` bench) and as the semantic
-    /// reference for differential testing. Execution in this mode never
-    /// lowers; probe-*location validation* still lowers the targeted
-    /// function on demand (the `pc ↔ slot` map is the shared boundary
-    /// oracle, and it is what keeps the tandem slot patching sound).
     Bytecode,
-    /// Register-machine dispatch: function bodies are lowered past the
-    /// fixed-width stack form into a register IR ([`crate::regir`]) whose
-    /// instructions name their operands directly — `local.get`/`local.set`
-    /// and operand push/pop traffic are allocated away, so the hot
-    /// dispatch loop never moves values it does not have to. Probes, fuel
-    /// suspension, OSR and deoptimization keep the byte-offset location
-    /// contract through a bidirectional byte-pc ↔ register-instruction
-    /// map. Instrumented (overlaid) functions, global-probe mode and
-    /// fuel-metered slices demote to the lowered stack interpreter, which
-    /// remains the instrumentation-capable tier; the rare function the
-    /// register allocator cannot lower falls back the same way
+    /// Register-machine dispatch: function bodies are lowered into a
+    /// register IR ([`crate::regir`]) whose instructions name their
+    /// operands directly — `local.get`/`local.set` and operand push/pop
+    /// traffic are allocated away, so the hot dispatch loop never moves
+    /// values it does not have to. Probes, fuel suspension, OSR and
+    /// deoptimization keep the byte-offset location contract through a
+    /// bidirectional byte-pc ↔ register-instruction map. Instrumented
+    /// (overlaid) functions, global-probe mode and fuel-metered slices
+    /// demote to the in-place interpreter, which remains the
+    /// instrumentation-capable tier; the rare function the register
+    /// allocator cannot lower falls back the same way
     /// ([`EngineStats::reg_fallbacks`]).
     Register,
 }
@@ -75,7 +73,7 @@ pub enum Dispatch {
 pub struct EngineConfig {
     /// Tier policy.
     pub mode: ExecMode,
-    /// Interpreter dispatch strategy (lowered fast path by default).
+    /// Interpreter dispatch strategy (the in-place interpreter by default).
     pub dispatch: Dispatch,
     /// Call/backedge count at which a function tiers up (Tiered mode).
     pub tierup_threshold: u32,
@@ -107,7 +105,7 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             mode: ExecMode::Tiered,
-            dispatch: Dispatch::Lowered,
+            dispatch: Dispatch::Bytecode,
             tierup_threshold: 50,
             intrinsify_count: true,
             intrinsify_operand: true,
@@ -147,8 +145,10 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Interpreter-only configuration with classic byte-walking dispatch —
-    /// the pre-lowering engine, kept as a measurable baseline.
+    /// Interpreter-only configuration with the in-place interpreter — the
+    /// differential oracle. Equal to [`EngineConfig::interpreter`], since
+    /// [`Dispatch::Bytecode`] is the default; kept as the explicit name
+    /// tests and benchmarks use for the reference configuration.
     pub fn interpreter_bytecode() -> EngineConfig {
         EngineConfig {
             mode: ExecMode::InterpOnly,
@@ -287,12 +287,13 @@ pub struct EngineStats {
     pub fuel_consumed: u64,
     /// Out-of-fuel suspensions of bounded runs.
     pub suspensions: u64,
-    /// Functions lowered to the fixed-width internal form (each function
-    /// is lowered at most once; probe traffic patches slots in place).
+    /// Functions lowered to the fixed-width internal form the JIT compiles
+    /// from (each function is lowered at most once per artifact; probe
+    /// traffic never touches the lowered form).
     pub functions_lowered: u64,
-    /// Forced re-lowering passes ([`Process::relower`]). Probe insertion
-    /// and removal — batched or not — never re-lower, so under normal
-    /// instrumentation traffic this stays 0.
+    /// Re-lowering passes. No engine path re-lowers a function — probe
+    /// insertion and removal only overwrite bytes — so this stays 0; the
+    /// counter remains for stats consumers that report it.
     pub relower_passes: u64,
     /// Instantiations served from an already-built shared
     /// [`ModuleArtifact`] by an artifact cache (e.g. `wizard-pool`'s):
@@ -305,7 +306,7 @@ pub struct EngineStats {
     pub artifact_cache_misses: u64,
     /// Copy-on-write overlay materializations: the first probe this
     /// process installed in each function copied that function's bytes
-    /// and lowered slots into process-local storage. Detaching the last
+    /// into process-local storage. Detaching the last
     /// probe drops the copy again (rejoining the shared artifact), so
     /// this counts copies *made*, not copies currently resident.
     pub overlay_copies: u64,
@@ -323,7 +324,7 @@ pub struct EngineStats {
     /// with [`EngineStats::functions_reg_lowered`] by whichever process
     /// built the register module.
     pub reg_fallbacks: u64,
-    /// Register-tier frames demoted to the stack interpreter because the
+    /// Register-tier frames demoted to the in-place interpreter because the
     /// function acquired a probe overlay or the process entered
     /// global-probe mode while they were live.
     pub reg_demotions: u64,
@@ -868,13 +869,11 @@ impl Process {
     /// Starts a *bounded* invocation of `func`: executes at most `fuel`
     /// bytecode instructions, then suspends.
     ///
-    /// Fuel is charged per bytecode instruction *executed in the current
-    /// tier*: the interpreter charges every instruction, while compiled
-    /// code charges per instruction that survives compilation —
-    /// structural instructions (`nop`/`block`/`loop`/`end`) compile away
-    /// and cost nothing there. Fuel bounds *work* (a slice is a hard
-    /// preemption budget in either tier); it is not an exact cross-tier
-    /// instruction count.
+    /// Fuel is charged one unit per bytecode instruction executed, plus
+    /// one for a function's implicit return at the end of its body — the
+    /// same count in every tier: compiled code also charges the
+    /// structural instructions (`nop`/`block`/`loop`/`end`) it compiles
+    /// away, and suspends at the byte pc the interpreter would.
     ///
     /// Returns [`RunOutcome::Done`] with the results if the invocation
     /// finished within the slice, or [`RunOutcome::OutOfFuel`] if it was
@@ -1114,8 +1113,8 @@ impl Process {
         let created = self.probes.insert_local(id, func, pc, probe);
         let lf = (func - n_imp) as usize;
         if created && self.code[lf].install_probe_byte(pc) {
-            // First probe in this function: its bytes and lowered slots
-            // were just copy-on-wrote into the process-local overlay.
+            // First probe in this function: its bytes were just
+            // copy-on-wrote into the process-local overlay.
             self.stats.overlay_copies += 1;
         }
         lf
@@ -1190,14 +1189,14 @@ impl Process {
     /// Validates that `(func, pc)` names an instruction boundary of a local
     /// function. Boundaries come from the lowered form's `pc ↔ slot` map
     /// (lowering the function on first demand), so the instrumentation API
-    /// and the execution tiers share one decoding of the body.
+    /// and the JIT share one decoding of the body.
     pub(crate) fn check_location(&mut self, func: FuncIdx, pc: u32) -> Result<(), ProbeError> {
         let n_imp = self.module.num_imported_funcs();
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
         }
         let lf = (func - n_imp) as usize;
-        let low = self.lowered_view_for(lf);
+        let low = self.lowered_for(lf);
         match low.slot_of(pc) {
             // The one-past-the-end sentinel maps to a slot (frames park the
             // implicit-return pc there) but is not a probeable instruction.
@@ -1206,17 +1205,17 @@ impl Process {
         }
     }
 
-    /// The lowered view of local function `lf`. The *shared* lowered form
-    /// is built inside the artifact on the first demand from any sibling
-    /// process; if this call is the one that builds it, it is counted in
-    /// this process's [`EngineStats::functions_lowered`] (instantiating
-    /// from a warm artifact therefore reports 0 lowering work).
-    pub(crate) fn lowered_view_for(&mut self, lf: usize) -> LoweredView {
-        let (_, lowered_now) = self.code[lf].artifact().lowered_init();
+    /// The shared lowered form of local function `lf`, built inside the
+    /// artifact on the first demand from any sibling process; if this call
+    /// is the one that builds it, it is counted in this process's
+    /// [`EngineStats::functions_lowered`] (instantiating from a warm
+    /// artifact therefore reports 0 lowering work).
+    pub(crate) fn lowered_for(&mut self, lf: usize) -> Arc<Lowered> {
+        let (low, lowered_now) = self.code[lf].artifact().lowered_init();
         if lowered_now {
             self.stats.functions_lowered += 1;
         }
-        self.code[lf].lowered_view()
+        Arc::clone(low)
     }
 
     /// The register form of local function `lf`, if the allocator could
@@ -1224,7 +1223,7 @@ impl Process {
     /// only when the process was not instantiated with
     /// [`Dispatch::Register`], which builds it eagerly), attributing the
     /// build to this process's counters like
-    /// [`Process::lowered_view_for`] does for the stack form.
+    /// [`Process::lowered_for`] does for the stack form.
     pub(crate) fn reg_func_for(&mut self, lf: usize) -> Option<Arc<crate::regir::RegFunc>> {
         let (reg, built_now) = self.artifact.reg_module_init();
         let reg = Arc::clone(reg);
@@ -1233,33 +1232,6 @@ impl Process {
             self.stats.reg_fallbacks += reg.fallback_count;
         }
         reg.func(lf).cloned()
-    }
-
-    /// Rebuilds `func`'s process-local overlay from the shared artifact,
-    /// re-applying the currently-installed probe patches, and invalidates
-    /// its compiled code. Counted in [`EngineStats::relower_passes`]. A
-    /// function this process never instrumented has no overlay to rebuild;
-    /// the call still invalidates (and recounts).
-    ///
-    /// Instrumentation never takes this path — probe insertion/removal
-    /// patches overlay slots in place (batched invalidation passes
-    /// re-patch, they never re-lower). The API exists for tooling and
-    /// tests that need a function's process-local caches provably rebuilt.
-    /// The shared artifact itself is immutable and is never re-lowered.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `func` is imported or out of range.
-    pub fn relower(&mut self, func: FuncIdx) -> Result<(), ProbeError> {
-        let n_imp = self.module.num_imported_funcs();
-        if func < n_imp || func >= self.module.num_funcs() {
-            return Err(ProbeError::NotALocalFunction(func));
-        }
-        let lf = (func - n_imp) as usize;
-        self.code[lf].rebuild_overlay();
-        self.code[lf].invalidate();
-        self.stats.relower_passes += 1;
-        Ok(())
     }
 
     /// Ensures `lf` has valid compiled code.
@@ -1298,9 +1270,9 @@ impl Process {
                     return;
                 }
             }
-            // Route through lowered_view_for so the (possible) first
-            // lowering is stat-attributed in exactly one place.
-            let _ = self.lowered_view_for(lf);
+            // Route through lowered_for so the (possible) first lowering
+            // is stat-attributed in exactly one place.
+            let _ = self.lowered_for(lf);
             let (code, compiled_now) = self.code[lf].artifact().baseline_compiled();
             if compiled_now {
                 self.stats.compiles += 1;
@@ -1314,7 +1286,7 @@ impl Process {
             *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
             return;
         }
-        let low = self.lowered_view_for(lf);
+        let low = self.lowered_for(lf);
         let compiled = jit::compile(&self.code[lf], &low, &self.probes, &self.config);
         self.stats.compiles += 1;
         *self.code[lf].compiled.borrow_mut() = Some(Rc::new(compiled));
@@ -1404,21 +1376,21 @@ impl Process {
         self.code[(func - n_imp) as usize].has_overlay()
     }
 
-    /// Identity (address) of the lowered op stream this process would
-    /// dispatch `func` from — the artifact's shared stream until a probe
-    /// lands, the process-local overlay copy after. Two uninstrumented
-    /// sibling processes report the *same* address: they literally share
-    /// the code. Lowers the function if it never ran.
+    /// Identity (address) of the bytecode this process would interpret
+    /// `func` from — the artifact's shared bytes until a probe lands, the
+    /// process-local overlay copy after. Two uninstrumented sibling
+    /// processes report the *same* address: they literally share the
+    /// code.
     ///
     /// # Errors
     ///
     /// Fails if `func` is imported or out of range.
-    pub fn code_identity(&mut self, func: FuncIdx) -> Result<usize, ProbeError> {
+    pub fn code_identity(&self, func: FuncIdx) -> Result<usize, ProbeError> {
         let n_imp = self.module.num_imported_funcs();
         if func < n_imp || func >= self.module.num_funcs() {
             return Err(ProbeError::NotALocalFunction(func));
         }
-        Ok(self.lowered_view_for((func - n_imp) as usize).ops_addr())
+        Ok(self.code[(func - n_imp) as usize].bytes_view().addr())
     }
 
     /// Identity (address) of the compiled op stream of `func`, if it has
@@ -1470,7 +1442,7 @@ fn start_call<'p>(
 
 /// As [`start_call`] for a bounded run: metering is set *before* the
 /// entry call so its tier decision already sees a metered execution
-/// (register dispatch pins bounded runs to the stack interpreter).
+/// (register dispatch pins bounded runs to the in-place interpreter).
 fn start_call_metered<'p>(
     proc: &'p mut Process,
     func: FuncIdx,
@@ -1513,8 +1485,7 @@ fn drive(ex: &mut Exec<'_>) -> Result<Exit, Trap> {
     while !ex.frames.is_empty() {
         let tier = ex.frames.last().expect("non-empty").tier;
         let r = match tier {
-            Tier::Interp if ex.classic => classic::run_frame(ex),
-            Tier::Interp => interp::run_frame(ex),
+            Tier::Interp => classic::run_frame(ex),
             Tier::Reg => regint::run_frame(ex),
             Tier::Jit => jit::run_frame(ex),
         };

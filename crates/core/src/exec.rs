@@ -13,8 +13,6 @@ use crate::classic;
 use crate::code::CodeBytes;
 use crate::engine::{Dispatch, Process};
 use crate::frame::{Frame, FrameAccessor, Tier};
-use crate::interp;
-use crate::lowered::{LTarget, LoweredView};
 use crate::probe::{Location, Pending, ProbeId, ProbeRef};
 use crate::store::HostCtx;
 use crate::trap::Trap;
@@ -89,12 +87,12 @@ pub(crate) struct Exec<'p> {
     /// Call stack; `frames.last()` is the current frame (its `pc`/`cip`
     /// are authoritative only at sync points).
     pub frames: Vec<Frame>,
-    /// Live cursor of the current frame. In the lowered interpreter this
-    /// is a *slot index*; in the classic (byte-walking) interpreter and in
-    /// the JIT tier's sync writes it is a byte pc. Frames always receive
-    /// byte pcs ([`Exec::sync_pc`] converts), keeping the paper's
-    /// byte-offset location space the contract everywhere outside the
-    /// lowered hot loop.
+    /// Live cursor of the current frame. In the register interpreter
+    /// this is a *register-instruction index*; in the in-place
+    /// interpreter and in the JIT tier's sync writes it is a byte pc.
+    /// Frames always receive byte pcs ([`Exec::sync_pc`] converts),
+    /// keeping the paper's byte-offset location space the contract
+    /// everywhere outside the register hot loop.
     pub pc: usize,
     /// Current function (global index).
     pub func: FuncIdx,
@@ -109,25 +107,16 @@ pub(crate) struct Exec<'p> {
     /// Current function's bytecode view (shared pristine bytes, or the
     /// process-local instrumented overlay).
     pub code: CodeBytes,
-    /// Current function's lowered view (lowered dispatch only). Held by
-    /// value — a small bundle of shared pointers, like [`CodeBytes`] — so
-    /// the dispatch loop reaches the op stream in one indirection. Reads
-    /// the artifact's shared op stream until this process instruments the
-    /// function, then its copy-on-write overlay.
-    pub low: LoweredView,
     /// Current function's register form ([`Dispatch::Register`] only,
     /// while the top frame runs in [`Tier::Reg`] or register-form JIT).
-    /// Held by value like [`Exec::low`]; shared module-wide.
+    /// Held by value — a shared pointer, like [`CodeBytes`] — so the
+    /// dispatch loop reaches the instruction stream in one indirection.
     pub reg: Arc<crate::regir::RegFunc>,
     /// Current function's metadata.
     pub meta: Arc<FuncMeta>,
-    /// `true` when the engine is configured for classic byte dispatch
-    /// ([`Dispatch::Bytecode`]).
-    pub classic: bool,
-    /// Active lowered dispatch table (normal or global-probe-instrumented).
-    pub table: &'static [interp::Handler; 256],
-    /// Active classic dispatch table (kept in lockstep with `table`).
-    pub ctable: &'static [classic::Handler; 256],
+    /// Active interpreter dispatch table (normal or
+    /// global-probe-instrumented, paper §4.1).
+    pub table: &'static [classic::Handler; 256],
     /// Source of activation ids.
     pub activations: u64,
     /// One-shot suppression of probe firing at a location, used when
@@ -163,21 +152,17 @@ impl Drop for ExecState {
 }
 
 thread_local! {
-    /// Shared placeholder for `Exec::low` before the first frame loads —
-    /// built once per thread so every invocation (and every bounded-run
-    /// resume slice) starts with a few refcount bumps instead of fresh
-    /// allocations. Classic-dispatch runs never replace it.
-    static EMPTY_LOWERED: LoweredView = LoweredView::empty();
-    /// Shared placeholder for `Exec::reg`, by the same logic.
+    /// Shared placeholder for `Exec::reg` before the first register frame
+    /// loads — built once per thread so every invocation (and every
+    /// bounded-run resume slice) starts with a refcount bump instead of a
+    /// fresh allocation.
     static EMPTY_REG: Arc<crate::regir::RegFunc> = Arc::new(crate::regir::RegFunc::empty());
 }
 
 impl<'p> Exec<'p> {
     pub fn new(proc: &'p mut Process) -> Exec<'p> {
-        let global = proc.global_mode;
-        let table = if global { interp::instrumented_table() } else { interp::normal_table() };
-        let ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
-        let classic = proc.config.dispatch == Dispatch::Bytecode;
+        let table =
+            if proc.global_mode { classic::instrumented_table() } else { classic::normal_table() };
         Exec {
             proc,
             values: Vec::with_capacity(1024),
@@ -189,12 +174,9 @@ impl<'p> Exec<'p> {
             opbase: 0,
             results: 0,
             code: CodeBytes::new(&[]),
-            low: EMPTY_LOWERED.with(Clone::clone),
             reg: EMPTY_REG.with(Arc::clone),
             meta: Arc::new(FuncMeta::default()),
-            classic,
             table,
-            ctable,
             activations: 0,
             skip_probe: None,
             metered: false,
@@ -254,42 +236,20 @@ impl<'p> Exec<'p> {
 
     // ---- frame sync ----
 
-    /// `true` while `self.pc` holds a lowered slot index (the lowered
-    /// interpreter is the running tier) rather than a byte pc.
-    #[inline]
-    fn pc_is_slot(&self) -> bool {
-        !self.classic && self.frames.last().is_some_and(|f| f.tier == Tier::Interp)
-    }
-
-    /// `true` while `self.pc` holds a register-instruction index (the
-    /// register interpreter is the running tier).
-    #[inline]
-    fn pc_is_reg_idx(&self) -> bool {
-        !self.classic && self.frames.last().is_some_and(|f| f.tier == Tier::Reg)
-    }
-
     /// Writes the live pc back into the current frame — converted to a
-    /// *byte* pc if the cursor is currently a lowered slot or a register
-    /// instruction index — before probes fire or state is otherwise
-    /// observed.
+    /// *byte* pc if the cursor is currently a register instruction index
+    /// — before probes fire or state is otherwise observed.
     #[inline]
     pub fn sync_pc(&mut self) {
-        if self.frames.is_empty() {
+        let Some(f) = self.frames.last_mut() else {
             return;
-        }
-        let pc = if self.pc_is_slot() {
-            self.low.pc_of(self.pc) as usize
-        } else if self.pc_is_reg_idx() {
-            self.reg.pc_of(self.pc) as usize
-        } else {
-            self.pc
         };
-        self.frames.last_mut().expect("non-empty").pc = pc;
+        f.pc = if f.tier == Tier::Reg { self.reg.pc_of(self.pc) as usize } else { self.pc };
     }
 
     /// Refreshes the cached current-frame fields from `frames.last()`,
-    /// lowering the function on first touch (lowered dispatch only) and
-    /// converting the parked byte pc back to a slot index.
+    /// converting the parked byte pc to a register-instruction index for
+    /// register frames.
     pub fn load_cur(&mut self) {
         let (pc, mut tier, lf) = {
             let f = self.frames.last().expect("at least one frame");
@@ -303,35 +263,22 @@ impl<'p> Exec<'p> {
             self.meta = Arc::clone(fc.meta());
             (f.pc, f.tier, f.lf)
         };
-        if self.classic {
-            self.pc = pc;
-            return;
-        }
         if tier == Tier::Reg && (self.proc.global_mode || self.proc.code[lf].has_overlay()) {
             // The function can no longer run in register form: global
-            // probes need the instrumented stack dispatch table, and probe
-            // overlays exist only in the stack representations. Demote the
-            // frame — register frames park at byte pcs with every deferred
-            // operand flushed to its canonical stack position, so the
-            // stack interpreter resumes them exactly.
+            // probes need the instrumented dispatch table, and probe bytes
+            // live only in the bytecode the in-place interpreter walks.
+            // Demote the frame — register frames park at byte pcs with
+            // every deferred operand flushed to its canonical stack
+            // position, so the in-place interpreter resumes them exactly.
             self.frames.last_mut().expect("at least one frame").tier = Tier::Interp;
             self.proc.stats.reg_demotions += 1;
             tier = Tier::Interp;
         }
-        match tier {
-            Tier::Reg => {
-                self.reg = self.proc.reg_func_for(lf).expect("register frames have register code");
-                self.pc = self.reg.idx_of(pc);
-            }
-            Tier::Interp => {
-                self.low = self.proc.lowered_view_for(lf);
-                self.pc = self.low.slot_of(pc as u32).expect("frame pc is an instruction boundary")
-                    as usize;
-            }
-            Tier::Jit => {
-                self.low = self.proc.lowered_view_for(lf);
-                self.pc = pc;
-            }
+        if tier == Tier::Reg {
+            self.reg = self.proc.reg_func_for(lf).expect("register frames have register code");
+            self.pc = self.reg.idx_of(pc);
+        } else {
+            self.pc = pc;
         }
     }
 
@@ -366,18 +313,11 @@ impl<'p> Exec<'p> {
         }
     }
 
-    /// Executes a side-table branch (classic byte dispatch).
+    /// Executes a side-table branch (in-place interpreter).
     #[inline]
     pub fn do_branch(&mut self, t: Target) {
         self.branch_values(t.arity, t.height);
         self.pc = t.target_pc as usize;
-    }
-
-    /// Executes a pre-resolved lowered branch (slot destination).
-    #[inline]
-    pub fn do_branch_lowered(&mut self, t: LTarget) {
-        self.branch_values(t.keep, t.height);
-        self.pc = t.slot as usize;
     }
 
     // ---- calls and returns ----
@@ -398,9 +338,10 @@ impl<'p> Exec<'p> {
         let register = self.proc.config.dispatch == Dispatch::Register;
         if register && self.metered {
             // Bounded runs charge fuel per bytecode instruction in the
-            // stack interpreters. The register tier has no metered loop —
-            // its whole point is not touching per-instruction state — so
-            // fuel-bounded slices run entirely in stack form, keeping the
+            // in-place interpreter and the stack-form JIT. The register
+            // tier has no metered loop — its whole point is not touching
+            // per-instruction state — so fuel-bounded slices run entirely
+            // in the in-place interpreter, keeping the
             // one-unit-per-instruction suspension contract exact.
             return Tier::Interp;
         }
@@ -481,6 +422,7 @@ impl<'p> Exec<'p> {
             results,
             pc: 0,
             cip: 0,
+            fuel_skip: 0,
             tier,
             code_version,
             activation: self.activations,
@@ -632,15 +574,17 @@ impl<'p> Exec<'p> {
         for p in ops {
             self.proc.apply_instrumentation(p);
         }
-        // The dispatch tables may have changed (global-probe mode).
-        let global = self.proc.global_mode;
-        self.table = if global { interp::instrumented_table() } else { interp::normal_table() };
-        self.ctable = if global { classic::instrumented_table() } else { classic::normal_table() };
+        // The dispatch table may have changed (global-probe mode).
+        self.table = if self.proc.global_mode {
+            classic::instrumented_table()
+        } else {
+            classic::normal_table()
+        };
         // Instrumenting the current function may have copy-on-wrote (or
-        // rejoined) its code: the cached byte/lowered views would keep
-        // reading the stale stream. Reload them from the frame — the pc
-        // was synced before the probes fired, so this is view-identity
-        // for the cursor and only swaps the op/byte sources.
+        // rejoined) its code: the cached byte view would keep reading the
+        // stale stream. Reload it from the frame — the pc was synced
+        // before the probes fired, so this is identity for the cursor and
+        // only swaps the byte source.
         if had_ops && !self.frames.is_empty() {
             self.load_cur();
         }

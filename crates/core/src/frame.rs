@@ -43,14 +43,19 @@ pub(crate) struct Frame {
     /// Resume/current bytecode pc (authoritative at sync points).
     ///
     /// Always a *byte offset* — the paper's location space — even though
-    /// the lowered interpreter's live cursor is a slot index: `Exec`
-    /// converts through the function's `pc ↔ slot` map when parking or
-    /// loading a frame. That keeps every consumer of parked frames
-    /// (FrameAccessors, fuel suspension/resume, deoptimization, OSR
-    /// entries, probe locations) dispatch-representation-agnostic.
+    /// the register interpreter's live cursor is a register-instruction
+    /// index: `Exec` converts through the function's byte-pc ↔ register
+    /// map when parking or loading a frame. That keeps every consumer of
+    /// parked frames (FrameAccessors, fuel suspension/resume,
+    /// deoptimization, OSR entries, probe locations)
+    /// dispatch-representation-agnostic.
     pub pc: usize,
     /// Resume/current compiled-op index when `tier == Jit`.
     pub cip: usize,
+    /// Fuel units of the op at `cip` already paid before the JIT (re-)enters
+    /// there — set by OSR entry and by a fuel suspension inside a run of
+    /// uncompiled instructions; see [`crate::jit`].
+    pub fuel_skip: u32,
     /// Execution tier.
     pub tier: Tier,
     /// Version of the compiled code this frame was executing (to detect
@@ -172,6 +177,7 @@ mod tests {
             results: 0,
             pc: 0,
             cip: 0,
+            fuel_skip: 0,
             tier: Tier::Interp,
             code_version: 0,
             activation: 7,

@@ -1,13 +1,14 @@
 //! The JIT tier: a pre-decoded micro-op compiler and executor.
 //!
 //! This stands in for Wizard's baseline JIT (which emits x86-64). The
-//! function's *lowered* form ([`crate::lowered`] — immediates pre-decoded,
-//! side table fused) is compiled into a dense array of micro-ops executed
-//! by a tight dispatch loop — the same structural role machine code plays
-//! in the paper. The JIT shares the lowering with the interpreter instead
-//! of re-walking raw bytes:
+//! function's shared *lowered* form ([`crate::lowered`] — immediates
+//! pre-decoded, side table folded in) is compiled into a dense array of
+//! micro-ops executed by a tight dispatch loop — the same structural role
+//! machine code plays in the paper:
 //!
-//! * local probes are *compiled into* the code at their sites;
+//! * local probes are *compiled into* the code at their sites, found
+//!   through the probe registry (the lowered form itself is never
+//!   patched);
 //! * a generic probe site requires a state checkpoint and a runtime call
 //!   (paper Figure 2, second column);
 //! * intrinsified `CountProbe`s compile to an inline counter increment and
@@ -30,6 +31,15 @@
 //!   ([`FuncArtifact::baseline_compiled`](crate::artifact::FuncArtifact)).
 //!   The first probe invalidates only that process's binding; siblings
 //!   keep running the shared code.
+//!
+//! Fuel-metered runs charge exactly what the in-place interpreter charges:
+//! one unit per bytecode instruction, including the structural
+//! instructions (`nop`/`block`/`loop`/`end`) that compile to nothing.
+//! Their units ride on the first op of the next instruction that does
+//! compile ([`CompiledCode::fuel`]), branch targets and OSR entries record
+//! how many of those units were skipped by entering mid-way, and a slice
+//! that runs out inside such a run parks at the exact byte pc the
+//! interpreter would.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -42,7 +52,7 @@ use wizard_wasm::opcodes as op;
 use crate::code::FuncOverlay;
 use crate::exec::{Exec, Exit, Sig};
 use crate::frame::Tier;
-use crate::lowered::{LTarget, Lowered, LoweredView};
+use crate::lowered::{LTarget, Lowered};
 use crate::numeric;
 use crate::probe::{Location, ProbeKind, ProbeRef, ProbeRegistry};
 use crate::trap::Trap;
@@ -58,6 +68,10 @@ pub struct JTarget {
     pub keep: u32,
     /// Operand height (above the frame's operand base) to truncate to.
     pub height: u32,
+    /// Fuel units of [`CompiledCode::fuel`]`[ip]` that belong to
+    /// uncompiled instructions *before* the branch target: a metered run
+    /// entering here does not execute them, so it does not pay for them.
+    pub skip: u32,
 }
 
 /// One compiled micro-op. Plain data — probe sites carry indices into the
@@ -211,9 +225,21 @@ pub struct CompiledCode {
     pub ops: Vec<Op>,
     /// Bytecode pc for each op (deoptimization metadata).
     pub ip_to_pc: Vec<u32>,
-    /// OSR entry points: loop-header pc → op index *after* that pc's probe
-    /// ops (so tier-up does not re-fire probes the interpreter already ran).
-    pub osr_entry: HashMap<u32, u32>,
+    /// Fuel charged on reaching each op (metered runs only): for the first
+    /// op of a bytecode instruction, 1 plus the number of directly
+    /// preceding instructions that compiled to nothing; 0 for every other
+    /// op.
+    pub fuel: Vec<u32>,
+    /// Fuel charged on falling off the end of the op stream: the trailing
+    /// instructions that compiled to nothing, plus 1 for the implicit
+    /// return (the in-place interpreter charges one unit there too).
+    pub tail_fuel: u32,
+    /// OSR entry points: loop-header pc → (op index *after* that pc's
+    /// probe ops, fuel skip). The op index keeps tier-up from re-firing
+    /// probes the interpreter already ran; the skip counts the units of
+    /// that op's charge the interpreter already paid (the `loop` itself
+    /// and the uncompiled instructions before it), like [`JTarget::skip`].
+    pub osr_entry: HashMap<u32, (u32, u32)>,
     /// When set, this "compiled" code is the function's **register form**
     /// ([`crate::regir`]) and `ops`/`ip_to_pc` are empty: the JIT tier
     /// executes register instructions directly (the micro-op compiler's
@@ -272,21 +298,20 @@ impl Compiled {
 /// from the shared lowered form. The result references no process state
 /// and is cached on the [`FuncArtifact`](crate::artifact::FuncArtifact),
 /// shared by every process until it instruments the function.
-pub(crate) fn compile_baseline(func: FuncIdx, low: &Arc<Lowered>) -> CompiledCode {
-    let view = LoweredView::shared((**low).clone());
-    let (code, cells, operands) = compile_inner(func, &view, None, 0);
+pub(crate) fn compile_baseline(func: FuncIdx, low: &Lowered) -> CompiledCode {
+    let (code, cells, operands) = compile_inner(func, low, None, 0);
     debug_assert!(cells.is_empty() && operands.is_empty(), "baseline has no probe sites");
     code
 }
 
-/// Compiles `fc` from its *lowered* view to micro-ops, baking in the
+/// Compiles `fc` from the shared lowered form to micro-ops, baking in the
 /// currently-installed probes.
 ///
-/// The lowering pass already pre-decoded every immediate and fused the
-/// side table, so compilation is a single walk over fixed-width slots.
+/// The lowering pass already pre-decoded every immediate and folded in
+/// the side table, so compilation is a single walk over fixed-width slots.
 pub(crate) fn compile(
     fc: &FuncOverlay,
-    low: &LoweredView,
+    low: &Lowered,
     probes: &ProbeRegistry,
     config: &EngineConfig,
 ) -> Compiled {
@@ -301,36 +326,37 @@ pub(crate) fn compile(
 #[allow(clippy::type_complexity)]
 fn compile_inner(
     func: FuncIdx,
-    low: &LoweredView,
+    low: &Lowered,
     instr: Option<(&FuncOverlay, &ProbeRegistry, &EngineConfig)>,
     version: u32,
 ) -> (CompiledCode, Vec<Rc<Cell<u64>>>, Vec<ProbeRef>) {
     let nslots = low.len();
     let mut ops: Vec<Op> = Vec::with_capacity(nslots);
     let mut ip_to_pc: Vec<u32> = Vec::with_capacity(nslots);
+    let mut fuel: Vec<u32> = Vec::with_capacity(nslots);
+    // Per slot (plus the one-past-the-end sentinel): the first op at or
+    // after it, and the uncompiled instructions between the previous
+    // compiled one and it — a branch landing there skips paying for them.
     let mut slot_to_ip: Vec<u32> = Vec::with_capacity(nslots + 1);
-    let mut osr_entry: HashMap<u32, u32> = HashMap::new();
+    let mut slot_skip: Vec<u32> = Vec::with_capacity(nslots + 1);
+    let mut osr_entry: HashMap<u32, (u32, u32)> = HashMap::new();
     let mut cells: Vec<Rc<Cell<u64>>> = Vec::new();
     let mut operands: Vec<ProbeRef> = Vec::new();
+    // Instructions since the last one that compiled to at least one op.
+    let mut uncharged: u32 = 0;
 
     // Branch targets are emitted with `ip` temporarily holding the lowered
     // *slot*; a second pass resolves slots to op indices.
-    let jt = |t: LTarget| JTarget { ip: t.slot, keep: t.keep, height: t.height };
+    let jt = |t: LTarget| JTarget { ip: t.slot, keep: t.keep, height: t.height, skip: 0 };
 
     for slot in 0..nslots {
-        // The unfused view: exactly one bytecode instruction per slot
-        // (fused superinstructions are an interpreter-dispatch concern).
-        // Probe-patched slots compile from the saved original instruction
-        // — `original` also recovers pre-fusion immediates if the patched
-        // slot was a fused head; the site's probes are compiled in (or
-        // intrinsified) below.
+        // The shared lowered form is never patched: probe sites come from
+        // the registry and are compiled in (or intrinsified) below.
         let pc = low.pc_of(slot);
-        let mut li = low.unfused(slot);
-        if li.op == op::PROBE {
-            let fc = instr.expect("probe opcodes only occur on instrumented overlays").0;
-            li = low.original(slot, fc.orig_opcode(pc));
-        }
+        let li = low.get(slot);
         slot_to_ip.push(ops.len() as u32);
+        slot_skip.push(uncharged);
+        let first = ops.len();
         let opb = li.op;
         // Probe site: intrinsify if every probe at the site supports it,
         // otherwise fall back to a single generic probe op that dispatches
@@ -366,7 +392,11 @@ fn compile_inner(
             }
         }
         if opb == op::LOOP {
-            osr_entry.insert(pc, ops.len() as u32);
+            // Unprobed, the loop compiles to nothing: its unit and the
+            // uncharged ones before it ride on the next op, and the
+            // interpreter already paid them before tiering up.
+            let skip = if ops.len() > first { 0 } else { uncharged + 1 };
+            osr_entry.insert(pc, (ops.len() as u32, skip));
         }
         let emitted: Option<Op> = match opb {
             op::NOP | op::BLOCK | op::LOOP | op::END => None,
@@ -401,12 +431,21 @@ fn compile_inner(
             ops.push(o);
             ip_to_pc.push(pc);
         }
+        if ops.len() > first {
+            fuel.resize(ops.len(), 0);
+            fuel[first] = uncharged + 1;
+            uncharged = 0;
+        } else {
+            uncharged += 1;
+        }
     }
     // Sentinel: branches to one-past-the-end resolve to the return path.
     slot_to_ip.push(ops.len() as u32);
+    slot_skip.push(uncharged);
 
     // Resolve branch targets: JTarget.ip currently holds a lowered slot.
     let map = |t: &mut JTarget| {
+        t.skip = slot_skip[t.ip as usize];
         t.ip = slot_to_ip[t.ip as usize];
     };
     for o in &mut ops {
@@ -421,7 +460,12 @@ fn compile_inner(
         }
     }
 
-    (CompiledCode { version, ops, ip_to_pc, osr_entry, reg: None }, cells, operands)
+    let tail_fuel = uncharged + 1;
+    (
+        CompiledCode { version, ops, ip_to_pc, fuel, tail_fuel, osr_entry, reg: None },
+        cells,
+        operands,
+    )
 }
 
 /// Compiles the probe-free baseline of `func` from its **register form**:
@@ -430,13 +474,21 @@ fn compile_inner(
 /// register instruction index, for tier-up from the interpreters).
 pub(crate) fn compile_baseline_reg(func: FuncIdx, rf: Arc<crate::regir::RegFunc>) -> CompiledCode {
     let _ = func;
-    let mut osr_entry: HashMap<u32, u32> = HashMap::new();
+    let mut osr_entry: HashMap<u32, (u32, u32)> = HashMap::new();
     for (idx, ri) in rf.ops().iter().enumerate() {
         if ri.op == crate::regir::R_LOOP {
-            osr_entry.insert(ri.x, idx as u32);
+            osr_entry.insert(ri.x, (idx as u32, 0));
         }
     }
-    CompiledCode { version: 0, ops: Vec::new(), ip_to_pc: Vec::new(), osr_entry, reg: Some(rf) }
+    CompiledCode {
+        version: 0,
+        ops: Vec::new(),
+        ip_to_pc: Vec::new(),
+        fuel: Vec::new(),
+        tail_fuel: 0,
+        osr_entry,
+        reg: Some(rf),
+    }
 }
 
 /// Runs the current (JIT-tier) frame until the invocation finishes, the
@@ -444,10 +496,10 @@ pub(crate) fn compile_baseline_reg(func: FuncIdx, rf: Arc<crate::regir::RegFunc>
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     'frames: loop {
-        let (lf, start_ip, expect_version) = {
-            let f = ex.frames.last().expect("frame");
+        let (lf, start_ip, expect_version, mut skip) = {
+            let f = ex.frames.last_mut().expect("frame");
             debug_assert_eq!(f.tier, Tier::Jit);
-            (f.lf, f.cip, f.code_version)
+            (f.lf, f.cip, f.code_version, std::mem::take(&mut f.fuel_skip))
         };
         let Some(compiled) = ex.proc.code[lf].compiled.borrow().clone() else {
             // Code was invalidated while this frame was suspended: deopt.
@@ -468,6 +520,24 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
         let code = &compiled.code;
         let mut ip = start_ip;
         loop {
+            // Fuel metering (bounded runs only): the first micro-op of each
+            // bytecode instruction charges that instruction plus the
+            // uncompiled ones before it, less what entering mid-way
+            // skipped. Probe ops are emitted *before* their instruction's
+            // ops and share its pc, so a suspension here is always before
+            // an instruction whose probes have not fired yet.
+            if ex.metered {
+                let cost = code.fuel.get(ip).copied().unwrap_or(code.tail_fuel);
+                if cost != 0 {
+                    let need = u64::from(cost - skip);
+                    if ex.fuel < need {
+                        suspend_in_run(ex, lf, code, ip, skip + ex.fuel as u32);
+                        return Ok(Exit::OutOfFuel);
+                    }
+                    ex.fuel -= need;
+                    skip = 0;
+                }
+            }
             if ip >= code.ops.len() {
                 // Fell off the end: return.
                 ex.frames.last_mut().expect("frame").cip = ip;
@@ -477,24 +547,6 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     Err(Sig::Switch) => return Ok(Exit::Redispatch),
                     Err(Sig::Trap(t)) => return Err(t),
                 }
-            }
-            // Fuel metering (bounded runs only): charge one unit at the
-            // first micro-op of each bytecode instruction. Probe ops are
-            // emitted *before* their instruction's ops and share its pc, so
-            // a suspension here is always before an instruction whose
-            // probes have not fired yet — `cip` resumes compiled code
-            // exactly here, and `pc` is a valid interpreter resume point if
-            // the code is invalidated while suspended.
-            if ex.metered && (ip == 0 || code.ip_to_pc[ip] != code.ip_to_pc[ip - 1]) {
-                if ex.fuel == 0 {
-                    let pc = code.ip_to_pc[ip] as usize;
-                    ex.pc = pc;
-                    let f = ex.frames.last_mut().expect("frame");
-                    f.cip = ip;
-                    f.pc = pc;
-                    return Ok(Exit::OutOfFuel);
-                }
-                ex.fuel -= 1;
             }
             match &code.ops[ip] {
                 Op::Const(v) => ex.values.push(*v),
@@ -569,14 +621,14 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                 }
                 Op::Br(t) => {
                     ex.branch_values(t.keep, t.height);
-                    ip = t.ip as usize;
+                    (ip, skip) = (t.ip as usize, t.skip);
                     continue;
                 }
                 Op::BrIf(t) => {
                     let c = ex.pop().i32();
                     if c != 0 {
                         ex.branch_values(t.keep, t.height);
-                        ip = t.ip as usize;
+                        (ip, skip) = (t.ip as usize, t.skip);
                         continue;
                     }
                 }
@@ -584,7 +636,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     let c = ex.pop().i32();
                     if c == 0 {
                         ex.branch_values(t.keep, t.height);
-                        ip = t.ip as usize;
+                        (ip, skip) = (t.ip as usize, t.skip);
                         continue;
                     }
                 }
@@ -592,7 +644,7 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
                     let i = ex.pop().u32() as usize;
                     let t = ts[i.min(ts.len() - 1)];
                     ex.branch_values(t.keep, t.height);
-                    ip = t.ip as usize;
+                    (ip, skip) = (t.ip as usize, t.skip);
                     continue;
                 }
                 Op::Return => {
@@ -691,6 +743,28 @@ pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
             ip += 1;
         }
     }
+}
+
+/// Parks the current frame at op `ip` when the fuel slice runs out before
+/// the bytecode instructions charged there have all been paid for: `done`
+/// of them have executed (they compiled to nothing), so the frame's byte
+/// pc is the next one — exactly where the in-place interpreter would
+/// suspend. Resuming compiled code re-enters at `ip` skipping the `done`
+/// units; if the code is invalidated meanwhile, the interpreter resumes
+/// at the byte pc.
+fn suspend_in_run(ex: &mut Exec, lf: usize, code: &CompiledCode, ip: usize, done: u32) {
+    let low = ex.proc.code[lf].artifact().lowered();
+    let (slot, cost) = match code.ip_to_pc.get(ip) {
+        Some(&pc) => (low.slot_of(pc).expect("op pcs are instruction boundaries"), code.fuel[ip]),
+        None => (low.len() as u32, code.tail_fuel),
+    };
+    let pc = low.pc_of((slot + 1 - cost + done) as usize) as usize;
+    ex.fuel = 0;
+    ex.pc = pc;
+    let f = ex.frames.last_mut().expect("frame");
+    f.cip = ip;
+    f.pc = pc;
+    f.fuel_skip = done;
 }
 
 /// Deoptimizes the current frame in place to the interpreter (its `pc` is

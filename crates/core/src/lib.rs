@@ -7,28 +7,29 @@
 //!
 //! * **Shared artifacts & copy-on-write overlays** ([`artifact`],
 //!   [`code`]): a [`ModuleArtifact`] holds everything process-independent
-//!   — the validated module, side-table metadata, per-function lowered
-//!   code and probe-free baseline JIT code — built once, `Arc`-shared and
+//!   — the validated module, side-table metadata, the per-function
+//!   lowered form the JIT compiles from, and probe-free baseline JIT code
+//!   — built once, `Arc`-shared and
 //!   `Send + Sync`. [`Process::instantiate`] links against it without
 //!   re-validating; uninstrumented processes execute *the same* shared
 //!   code (pointer-equal), and the first probe a process installs in a
 //!   function copy-on-writes just that function into its private overlay
 //!   — invisible to siblings, dropped again when the last probe detaches.
-//! * **Lowered interpreter** ([`lowered`]): each function body is lowered
-//!   *once* into fixed-width internal instructions — immediates
-//!   pre-decoded, branch side table fused into pre-resolved targets — and
-//!   the interpreter dispatches over lowered slots through a 256-entry
-//!   handler table. A bidirectional `pc ↔ slot` map keeps the paper's
-//!   byte-offset location space as the public contract. Global probes are
-//!   implemented by *switching the dispatch table pointer* — zero overhead
-//!   when disabled. The classic byte-walking dispatch survives as
-//!   [`Dispatch::Bytecode`], the measured baseline for the lowering win.
+//! * **In-place interpreter** ([`Dispatch::Bytecode`], the default): the
+//!   interpreter walks each function's bytecode directly through a
+//!   256-entry handler table — no rewritten copy of the code. Global
+//!   probes are implemented by *switching the dispatch table pointer* —
+//!   zero overhead when disabled. It is also where the JIT deoptimizes to
+//!   and where register frames demote to.
 //! * **Local probes** are implemented by *bytecode overwriting*: the probed
 //!   instruction's opcode byte is replaced by a reserved probe opcode, and
 //!   the original is kept on the side — zero overhead for uninstrumented
 //!   instructions, O(1) insertion/removal, and offsets stay valid.
-//! * **JIT tier** ([`jit`]): functions are compiled to pre-decoded
-//!   micro-ops; local probes are compiled into the code. `CountProbe`s and
+//! * **JIT tier** ([`jit`]): functions are lowered once ([`lowered`]:
+//!   immediates pre-decoded, side table folded into pre-resolved targets)
+//!   and compiled to micro-ops; local probes are compiled into the code.
+//!   A bidirectional `pc ↔ slot` map keeps the paper's byte-offset
+//!   location space as the public contract. `CountProbe`s and
 //!   top-of-stack operand probes can be *intrinsified* — inlined or called
 //!   directly without reifying a FrameAccessor.
 //! * **Consistency** ([`probe`], [`exec`]): insertion order is firing
@@ -165,7 +166,6 @@ mod engine;
 pub mod exec;
 pub mod frame;
 pub mod handoff;
-mod interp;
 pub mod jit;
 pub mod lowered;
 pub mod monitor;

@@ -1,105 +1,34 @@
 //! The lowered code pipeline: one-time translation of validated bytecode
 //! into fixed-width internal instructions with pre-decoded immediates and
-//! pre-resolved branch targets.
+//! pre-resolved branch targets — the JIT tier's compile input.
 //!
-//! The in-place interpreter pays a *decode tax* when it dispatches over raw
-//! bytes: every immediate is LEB128-decoded on every execution, and every
-//! branch resolves its destination through a per-pc side-table `HashMap`
-//! lookup. Lowering pays that tax **once per function**: a single pass over
-//! the body produces one [`LInstr`] per bytecode instruction, with the
-//! side table fused into a dense target array, and the interpreter then
-//! dispatches over *slots* — no LEB, no hashing in the hot loop.
+//! Execution never dispatches over this form. The in-place interpreter
+//! walks the bytecode itself (paper §4.1–4.2), and the JIT
+//! ([`crate::jit`]) compiles from the lowered form instead of re-walking
+//! raw bytes: a single pass over the body produces one [`LInstr`] per
+//! bytecode instruction, with LEB128 immediates decoded and the branch
+//! side table folded into a dense target array.
 //!
-//! Since the shared-artifact refactor the lowered form is split in two:
+//! [`Lowered`] is **immutable and thread-safe** — all `Arc`-backed,
+//! `Send + Sync`, built once per function inside a
+//! [`ModuleArtifact`](crate::artifact::ModuleArtifact) and shared by every
+//! process instantiated from it. Instrumentation never touches it: probes
+//! overwrite bytes in the process-local byte overlay
+//! ([`FuncOverlay`](crate::code::FuncOverlay)), and the JIT finds probe
+//! sites through the probe registry, not through the lowered slots.
 //!
-//! * [`Lowered`] is the **immutable, thread-safe shared form** — all
-//!   `Arc`-backed, `Send + Sync`, built once per function inside a
-//!   [`ModuleArtifact`](crate::artifact::ModuleArtifact) and shared by
-//!   every process instantiated from it. Nothing ever mutates it.
-//! * [`LoweredView`] is the **per-process read view** the execution tiers
-//!   dispatch through: normally it reads straight from the shared op
-//!   stream (zero copies, pointer-shared across processes); once the
-//!   process installs a probe in the function, the view reads from the
-//!   process-local **copy-on-write op stream** owned by that function's
-//!   [`FuncOverlay`](crate::code::FuncOverlay).
-//!
-//! Two properties make this compatible with the paper's instrumentation
-//! design:
-//!
-//! * **The byte-offset `Location` space stays the public contract.** The
-//!   lowering keeps a bidirectional `pc ↔ slot` map ([`Lowered::pc_of`],
-//!   [`Lowered::slot_of`]), and frames always park byte pcs at sync points,
-//!   so probes, monitors, script matching, disassembly, fuel suspension and
-//!   deoptimization all keep speaking byte offsets.
-//! * **Probe patching works exactly like bytecode overwriting** — on the
-//!   overlay's copy. A slot is one instruction; installing a probe
-//!   overwrites the copied slot's *opcode field* with the probe opcode
-//!   (immediates untouched), and removal restores it — the same O(1)
-//!   patch/restore the paper performs on the opcode byte (§4.2). The
-//!   shared form is never touched, which is what makes instrumentation
-//!   invisible to sibling processes of the same artifact.
+//! **The byte-offset `Location` space stays the public contract.** The
+//! lowering keeps a bidirectional `pc ↔ slot` map ([`Lowered::pc_of`],
+//! [`Lowered::slot_of`]), so compiled code records byte pcs for probes,
+//! fuel suspension, OSR entries and deoptimization.
 
-use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use wizard_wasm::instr::{Imm, InstrIter};
 use wizard_wasm::opcodes as op;
 use wizard_wasm::validate::{FuncMeta, SideEntry, Target};
 
-use crate::numeric;
 use crate::value::Slot;
-
-/// Fused superinstruction: `local.get a; local.get b` (`x` = a, `z` = b).
-pub const FUSED_GET_GET: u8 = 0xe8;
-/// Fused superinstruction: `local.get a; <binop>` (`x` = a, `y` = binop).
-pub const FUSED_GET_BIN: u8 = 0xe9;
-/// Fused superinstruction: `<const>; <binop>` (`z` = const bits, `y` = binop).
-pub const FUSED_CONST_BIN: u8 = 0xea;
-/// Fused superinstruction: `local.get a; local.set b` (`x` = a, `z` = b).
-pub const FUSED_GET_SET: u8 = 0xeb;
-/// Fused superinstruction: `<comparison>; br_if` (`y` = cmp, `x` = target).
-pub const FUSED_CMP_BR: u8 = 0xec;
-/// Fused superinstruction: `local.get a; local.get b; <binop>`
-/// (`x` = a, `z` = b, `y` = binop).
-pub const FUSED_GET_GET_BIN: u8 = 0xed;
-/// Fused superinstruction: `local.get a; local.get b; <comparison>;
-/// br_if` — the loop-backedge test (`z` = a | b<<32, `y` = cmp,
-/// `x` = target).
-pub const FUSED_GG_CMP_BR: u8 = 0xee;
-/// Fused superinstruction: `local.get a; <const>; <binop>; local.set a` —
-/// the in-place induction update (`x` = a, `z` = const bits, `y` = binop).
-pub const FUSED_UPD: u8 = 0xef;
-
-/// `true` for the lowering-internal fused superinstruction opcodes. These
-/// bytes are never valid module bytecode; they exist only in lowered op
-/// streams.
-#[inline]
-pub fn is_fused(opcode: u8) -> bool {
-    (FUSED_GET_GET..=FUSED_UPD).contains(&opcode)
-}
-
-/// Number of bytecode instructions a fused superinstruction executes
-/// (equivalently: 1 + the covered slots after its head).
-#[inline]
-pub fn fused_len(opcode: u8) -> usize {
-    match opcode {
-        FUSED_GET_GET_BIN => 3,
-        FUSED_GG_CMP_BR | FUSED_UPD => 4,
-        _ => 2,
-    }
-}
-
-/// `true` for binops that produce an `i32` condition and cannot trap —
-/// the fusable heads of `FUSED_CMP_BR`.
-fn is_cmp(opcode: u8) -> bool {
-    matches!(opcode,
-        op::I32_EQ..=op::I32_GE_U
-        | op::I64_EQ..=op::I64_GE_U
-        | op::F32_EQ..=op::F32_GE
-        | op::F64_EQ..=op::F64_GE)
-}
 
 /// A pre-resolved control-transfer destination in lowered code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,10 +43,8 @@ pub struct LTarget {
 
 /// One fixed-width lowered instruction.
 ///
-/// `op` reuses the Wasm opcode byte space (including the reserved probe
-/// opcode when an overlay slot is patched), so the interpreter's 256-entry
-/// dispatch tables — normal and global-probe-instrumented — carry over
-/// unchanged in shape. The immediate fields are interpreted per opcode:
+/// `op` is the Wasm opcode byte. The immediate fields are interpreted per
+/// opcode:
 ///
 /// | opcode                      | `x`                       | `z`             |
 /// |-----------------------------|---------------------------|-----------------|
@@ -130,13 +57,8 @@ pub struct LTarget {
 /// | `call_indirect`             | expected type index       | —               |
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LInstr {
-    /// Lowered opcode (Wasm opcode byte space, a fused superinstruction
-    /// opcode, or `op::PROBE` when an overlay slot is patched).
+    /// Wasm opcode byte.
     pub op: u8,
-    /// Secondary opcode of a fused superinstruction (the second
-    /// instruction's binop byte); 0 otherwise. Lives in what would be
-    /// padding, so fusion costs no slot width.
-    pub y: u8,
     /// Primary pre-decoded immediate (see table above).
     pub x: u32,
     /// Wide pre-decoded immediate: constant payloads as value-slot bits.
@@ -145,38 +67,29 @@ pub struct LInstr {
 
 impl LInstr {
     fn plain(opcode: u8) -> LInstr {
-        LInstr { op: opcode, y: 0, x: 0, z: 0 }
+        LInstr { op: opcode, x: 0, z: 0 }
     }
 
     fn with_x(opcode: u8, x: u32) -> LInstr {
-        LInstr { op: opcode, y: 0, x, z: 0 }
+        LInstr { op: opcode, x, z: 0 }
     }
 
     fn with_z(opcode: u8, z: u64) -> LInstr {
-        LInstr { op: opcode, y: 0, x: 0, z }
+        LInstr { op: opcode, x: 0, z }
     }
 }
 
-/// A process-local copy-on-write op stream: the mutable half of the
-/// overlay, materialized from [`Lowered::cow_ops`] when the first probe
-/// lands in a function and dropped again when the last probe leaves.
-pub type OverlayOps = Rc<[Cell<LInstr>]>;
-
-/// A function body lowered to fixed-width instructions — the **immutable,
-/// shared form**.
+/// A function body lowered to fixed-width instructions.
 ///
 /// Every field is `Arc`-backed plain data: the whole structure is
 /// `Send + Sync` and is shared by reference between every process
 /// instantiated from the same
-/// [`ModuleArtifact`](crate::artifact::ModuleArtifact). Instrumentation
-/// never mutates it; probe patching operates on a per-process
-/// [`OverlayOps`] copy read through a [`LoweredView`].
+/// [`ModuleArtifact`](crate::artifact::ModuleArtifact).
 #[derive(Debug, Clone)]
 pub struct Lowered {
-    /// One slot per bytecode instruction, in code order (pristine:
-    /// superinstructions fused, no probe opcodes).
+    /// One slot per bytecode instruction, in code order.
     ops: Arc<[LInstr]>,
-    /// Pre-resolved branch targets (side table fused in), referenced by
+    /// Pre-resolved branch targets (side table folded in), referenced by
     /// `x` of `br`/`br_if`/`if`/`else` slots.
     pub targets: Arc<[LTarget]>,
     /// `br_table` target lists (targets then default, matching the side
@@ -188,11 +101,6 @@ pub struct Lowered {
     /// byte pc → slot; `u32::MAX` for offsets that are not instruction
     /// boundaries; one extra sentinel entry for `pc == body len`.
     pc_to_slot: Arc<[u32]>,
-    /// Original (unfused) head instructions of fused superinstruction
-    /// slots, keyed by head slot — consulted to unfuse when a probe lands
-    /// on a covered overlay slot, and by consumers that need the strict
-    /// one-instruction-per-slot view ([`LoweredView::unfused`]).
-    fused: Arc<HashMap<u32, LInstr>>,
 }
 
 impl Lowered {
@@ -284,21 +192,13 @@ impl Lowered {
             }
         }
 
-        let fused = fuse(&mut ops, &targets, &tables);
-
         Lowered {
             ops: ops.into(),
             targets: targets.into(),
             tables: tables.into(),
             slot_to_pc: slot_to_pc.into(),
             pc_to_slot: pc_to_slot.into(),
-            fused: Arc::new(fused),
         }
-    }
-
-    /// An empty lowering (placeholder before the first frame loads).
-    pub fn empty() -> Lowered {
-        Lowered::lower(&[], &FuncMeta::default())
     }
 
     /// Number of instruction slots.
@@ -312,7 +212,7 @@ impl Lowered {
         self.ops.is_empty()
     }
 
-    /// Reads the pristine (shared-form) instruction at `slot`.
+    /// Reads the instruction at `slot`.
     #[inline]
     pub fn get(&self, slot: usize) -> LInstr {
         self.ops[slot]
@@ -347,301 +247,19 @@ impl Lowered {
         &self.tables[idx as usize]
     }
 
-    /// Address of the shared op stream — the identity tests and benches
-    /// use to assert that two processes really dispatch from the same
-    /// memory until a probe lands.
+    /// Address of the op stream — the identity tests use to assert that
+    /// the lowering is built once and shared.
     pub fn ops_addr(&self) -> usize {
         self.ops.as_ptr() as usize
     }
 
-    /// Size of the lowered form in bytes (op stream + targets + maps) —
-    /// the per-process memory a shared artifact saves its siblings.
+    /// Size of the lowered form in bytes (op stream + targets + maps).
     pub fn size_bytes(&self) -> usize {
         self.ops.len() * core::mem::size_of::<LInstr>()
             + self.targets.len() * core::mem::size_of::<LTarget>()
             + self.tables.iter().map(|t| t.len() * core::mem::size_of::<LTarget>()).sum::<usize>()
             + (self.slot_to_pc.len() + self.pc_to_slot.len()) * core::mem::size_of::<u32>()
     }
-
-    /// Materializes a process-local copy of the op stream — the
-    /// copy-on-write step, taken by a
-    /// [`FuncOverlay`](crate::code::FuncOverlay) when the first probe
-    /// lands in the function.
-    pub fn cow_ops(&self) -> OverlayOps {
-        self.ops.iter().map(|&o| Cell::new(o)).collect()
-    }
-
-    /// Overwrites the opcode field of overlay slot `slot` with the probe
-    /// opcode, returning the previous opcode — the lowered-form analogue
-    /// of overwriting the opcode byte, applied to the process-local copy.
-    /// Immediates are untouched, so the original handler decodes nothing
-    /// when the probe re-dispatches it.
-    ///
-    /// If the slot is covered by a fused superinstruction, the fused head
-    /// is restored to its original single instruction first — sequential
-    /// flow must reach the probed slot, never skip over it. (A probe on a
-    /// fused *head* needs no unfusing: the probe handler re-dispatches the
-    /// saved original opcode, whose immediates the patched slot retains.)
-    pub fn patch_probe(&self, ops: &[Cell<LInstr>], slot: u32) -> u8 {
-        // Scan back over the longest possible fused region for a head that
-        // covers this slot (fusions never overlap, so at most one does).
-        for d in 1..=3u32 {
-            let Some(head) = slot.checked_sub(d) else { break };
-            let cell = &ops[head as usize];
-            let opcode = cell.get().op;
-            if is_fused(opcode) && fused_len(opcode) as u32 > d {
-                cell.set(self.fused[&head]);
-                break;
-            }
-        }
-        let cell = &ops[slot as usize];
-        let mut li = cell.get();
-        let prev = li.op;
-        li.op = op::PROBE;
-        cell.set(li);
-        prev
-    }
-
-    /// Restores the opcode field of overlay slot `slot` (when the last
-    /// probe at the location is removed). A slot that was a fused head is
-    /// restored to its full *original* instruction (not re-fused) — its
-    /// immediate fields held the fused encoding, and a head that probe
-    /// traffic touched stays unfused in the overlay: degradation, never
-    /// incorrectness. (When the *last* probe leaves the whole function the
-    /// overlay copy is dropped entirely and the process rejoins the
-    /// shared, still-fused op stream.)
-    pub fn restore_op(&self, ops: &[Cell<LInstr>], slot: u32, orig: u8) {
-        if let Some(o) = self.fused.get(&slot) {
-            debug_assert_eq!(o.op, orig, "saved byte opcode matches the fused head's original");
-            ops[slot as usize].set(*o);
-            return;
-        }
-        let cell = &ops[slot as usize];
-        let mut li = cell.get();
-        li.op = orig;
-        cell.set(li);
-    }
-
-    /// The original single instruction behind a (possibly fused or
-    /// probe-patched) slot whose current encoding is `li`: `orig_byte`
-    /// supplies the overwritten opcode (saved on the bytecode side), and
-    /// if the slot was a fused head its original immediates come from the
-    /// fusion map — the patched slot itself may carry the fused encoding.
-    #[inline]
-    fn original_of(&self, slot: usize, mut li: LInstr, orig_byte: u8) -> LInstr {
-        if let Some(o) = self.fused.get(&(slot as u32)) {
-            return *o;
-        }
-        li.op = orig_byte;
-        li
-    }
-}
-
-/// The per-process read view of a function's lowered code: shared pristine
-/// ops by default, the process-local [`OverlayOps`] copy once the function
-/// is instrumented. Cheap to clone (a bundle of shared pointers); the
-/// execution tiers hold one by value per live frame.
-#[derive(Debug, Clone)]
-pub struct LoweredView {
-    shared: Lowered,
-    local: Option<OverlayOps>,
-}
-
-impl LoweredView {
-    /// A view reading straight from the shared form (uninstrumented).
-    pub fn shared(low: Lowered) -> LoweredView {
-        LoweredView { shared: low, local: None }
-    }
-
-    /// A view reading through a process-local overlay op stream.
-    pub fn overlaid(low: Lowered, ops: OverlayOps) -> LoweredView {
-        LoweredView { shared: low, local: Some(ops) }
-    }
-
-    /// An empty view (placeholder before the first frame loads).
-    pub fn empty() -> LoweredView {
-        LoweredView::shared(Lowered::empty())
-    }
-
-    /// `true` while this view reads a process-local copy-on-write op
-    /// stream instead of the shared artifact's.
-    pub fn is_overlaid(&self) -> bool {
-        self.local.is_some()
-    }
-
-    /// Address of the op stream this view dispatches from (overlay copy
-    /// if present, shared otherwise) — the pointer identity used by
-    /// sharing assertions.
-    pub fn ops_addr(&self) -> usize {
-        match &self.local {
-            Some(ops) => ops.as_ptr() as usize,
-            None => self.shared.ops_addr(),
-        }
-    }
-
-    /// Reads the instruction at `slot` (overlay copy if present).
-    #[inline]
-    pub fn get(&self, slot: usize) -> LInstr {
-        match &self.local {
-            Some(ops) => ops[slot].get(),
-            None => self.shared.get(slot),
-        }
-    }
-
-    /// The slot's instruction with fusion undone: a fused head reports its
-    /// original first instruction (the covered slot always holds its
-    /// original second instruction). Consumers that need the strict
-    /// one-instruction-per-slot view — the JIT compiler, fuel-metered
-    /// execution (exactly one fuel unit per bytecode instruction), and
-    /// global-probe dispatch (a probe fires before *every* instruction) —
-    /// read through this instead of [`LoweredView::get`].
-    #[inline]
-    pub fn unfused(&self, slot: usize) -> LInstr {
-        let li = self.get(slot);
-        if is_fused(li.op) {
-            self.shared.fused[&(slot as u32)]
-        } else {
-            li
-        }
-    }
-
-    /// The original single instruction behind a probe-patched `slot`:
-    /// `orig_byte` supplies the overwritten opcode (saved on the bytecode
-    /// side), and a slot that was a fused head recovers its pre-fusion
-    /// immediates from the fusion map.
-    #[inline]
-    pub fn original(&self, slot: usize, orig_byte: u8) -> LInstr {
-        self.shared.original_of(slot, self.get(slot), orig_byte)
-    }
-
-    /// Number of instruction slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// `true` if the body lowered to no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// Byte pc of the instruction at `slot`; see [`Lowered::pc_of`].
-    #[inline]
-    pub fn pc_of(&self, slot: usize) -> u32 {
-        self.shared.pc_of(slot)
-    }
-
-    /// Slot of the instruction at byte `pc`; see [`Lowered::slot_of`].
-    #[inline]
-    pub fn slot_of(&self, pc: u32) -> Option<u32> {
-        self.shared.slot_of(pc)
-    }
-
-    /// Resolves a target index of a `br`/`br_if`/`if`/`else` slot.
-    #[inline]
-    pub fn target(&self, idx: u32) -> LTarget {
-        self.shared.target(idx)
-    }
-
-    /// Resolves a `br_table` slot's target list.
-    #[inline]
-    pub fn table(&self, idx: u32) -> &[LTarget] {
-        self.shared.table(idx)
-    }
-
-    /// Number of fused superinstruction heads currently visible to this
-    /// view (diagnostics/tests).
-    pub fn fused_count(&self) -> usize {
-        (0..self.len()).filter(|&s| is_fused(self.get(s).op)).count()
-    }
-}
-
-/// The pair-fusion pass: replaces common two-instruction sequences with one
-/// fixed-width superinstruction, halving dispatch overhead on the hottest
-/// patterns (operand fetch + ALU, induction updates, compare-and-branch
-/// loop backedges).
-///
-/// Fusion never changes the slot count — the covered (second) slot keeps
-/// its original instruction and is simply skipped by sequential flow — so
-/// the `pc ↔ slot` bijection, branch targets, and probe locations are
-/// untouched. A pair is fusable only when the covered slot is not a branch
-/// target; probes landing on covered slots unfuse the head of the overlay
-/// copy at patch time ([`Lowered::patch_probe`]).
-fn fuse(
-    ops: &mut [LInstr],
-    targets: &[LTarget],
-    tables: &[Box<[LTarget]>],
-) -> HashMap<u32, LInstr> {
-    let mut branch_targets: HashSet<u32> = targets.iter().map(|t| t.slot).collect();
-    for table in tables {
-        branch_targets.extend(table.iter().map(|t| t.slot));
-    }
-    let is_const =
-        |o: u8| matches!(o, op::I32_CONST | op::I64_CONST | op::F32_CONST | op::F64_CONST);
-    // The covered slots `s+1 .. s+len-1` must not be branch targets:
-    // control may only enter a fused region at its head.
-    let coverable =
-        |s: usize, len: usize| (s + 1..s + len).all(|c| !branch_targets.contains(&(c as u32)));
-
-    let mut fused: HashMap<u32, LInstr> = HashMap::new();
-    let mut s = 0;
-    while s + 1 < ops.len() {
-        let a = ops[s];
-        let b = ops[s + 1];
-        let c = ops.get(s + 2).copied();
-        let d = ops.get(s + 3).copied();
-        // Longest pattern first; every fusion is strictly non-overlapping
-        // (the cursor skips the whole fused region).
-        let f: Option<(LInstr, usize)> = match (a.op, b.op, c.map(|i| i.op), d.map(|i| i.op)) {
-            // local.get a; local.get b; <cmp>; br_if — the loop backedge.
-            (op::LOCAL_GET, op::LOCAL_GET, Some(cc), Some(op::BR_IF))
-                if is_cmp(cc) && coverable(s, 4) =>
-            {
-                let d = d.expect("matched");
-                let z = u64::from(a.x) | (u64::from(b.x) << 32);
-                Some((LInstr { op: FUSED_GG_CMP_BR, y: cc, x: d.x, z }, 4))
-            }
-            // local.get a; <const>; <binop>; local.set a — induction update.
-            (op::LOCAL_GET, bc, Some(cc), Some(op::LOCAL_SET))
-                if is_const(bc)
-                    && numeric::is_binop(cc)
-                    && d.expect("matched").x == a.x
-                    && coverable(s, 4) =>
-            {
-                Some((LInstr { op: FUSED_UPD, y: cc, x: a.x, z: b.z }, 4))
-            }
-            // local.get a; local.get b; <binop>.
-            (op::LOCAL_GET, op::LOCAL_GET, Some(cc), _)
-                if numeric::is_binop(cc) && coverable(s, 3) =>
-            {
-                Some((LInstr { op: FUSED_GET_GET_BIN, y: cc, x: a.x, z: u64::from(b.x) }, 3))
-            }
-            (op::LOCAL_GET, op::LOCAL_GET, _, _) if coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_GET, y: 0, x: a.x, z: u64::from(b.x) }, 2))
-            }
-            (op::LOCAL_GET, op::LOCAL_SET, _, _) if coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_SET, y: 0, x: a.x, z: u64::from(b.x) }, 2))
-            }
-            (op::LOCAL_GET, bb, _, _) if numeric::is_binop(bb) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_GET_BIN, y: bb, x: a.x, z: 0 }, 2))
-            }
-            (ac, bb, _, _) if is_const(ac) && numeric::is_binop(bb) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_CONST_BIN, y: bb, x: 0, z: a.z }, 2))
-            }
-            (aa, op::BR_IF, _, _) if is_cmp(aa) && coverable(s, 2) => {
-                Some((LInstr { op: FUSED_CMP_BR, y: aa, x: b.x, z: 0 }, 2))
-            }
-            _ => None,
-        };
-        if let Some((fi, len)) = f {
-            fused.insert(s as u32, a);
-            ops[s] = fi;
-            s += len;
-        } else {
-            s += 1;
-        }
-    }
-    fused
 }
 
 #[cfg(test)]
@@ -690,65 +308,13 @@ mod tests {
         let mut f = FuncBuilder::new(&[I32], &[I32]);
         f.local_get(0).i32_const(-99_999).i32_add();
         let (_, low) = lowered_for(f);
-        let view = LoweredView::shared(low);
-        assert_eq!(view.get(0).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(view.get(0).x, 0);
-        // `i32.const; i32.add` fuses; the head keeps the const payload and
-        // the covered slot keeps the original add.
-        assert_eq!(view.get(1).op, FUSED_CONST_BIN);
-        assert_eq!(view.get(1).y, wizard_wasm::opcodes::I32_ADD);
-        assert_eq!(Slot(view.get(1).z).i32(), -99_999);
-        assert_eq!(view.unfused(1).op, wizard_wasm::opcodes::I32_CONST);
-        assert_eq!(view.get(2).op, wizard_wasm::opcodes::I32_ADD);
-    }
-
-    #[test]
-    fn fusion_pairs_and_probe_unfusing_on_the_overlay() {
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        f.local_get(0).local_get(0).i32_add();
-        let (_, low) = lowered_for(f);
-        // `local.get; local.get; i32.add` fuses into one three-wide
-        // superinstruction; the covered slots keep their originals.
-        let shared = LoweredView::shared(low.clone());
-        assert_eq!(shared.get(0).op, FUSED_GET_GET_BIN);
-        assert_eq!(shared.get(0).y, wizard_wasm::opcodes::I32_ADD);
-        assert_eq!(shared.fused_count(), 1);
-        assert_eq!(shared.unfused(0).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(shared.get(1).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(shared.get(2).op, wizard_wasm::opcodes::I32_ADD);
-        // A probe on a covered slot patches the *overlay copy* and
-        // restores the head there: sequential flow must reach the probed
-        // instruction. The shared form stays fused and untouched.
-        let ops = low.cow_ops();
-        low.patch_probe(&ops, 2);
-        let view = LoweredView::overlaid(low.clone(), Rc::clone(&ops));
-        assert_eq!(view.get(0).op, wizard_wasm::opcodes::LOCAL_GET);
-        assert_eq!(view.get(2).op, wizard_wasm::opcodes::PROBE);
-        assert_eq!(view.fused_count(), 0);
-        assert_eq!(shared.get(0).op, FUSED_GET_GET_BIN, "shared form untouched");
-        assert_eq!(shared.fused_count(), 1);
-        assert_ne!(view.ops_addr(), shared.ops_addr());
-    }
-
-    #[test]
-    fn backedge_and_induction_fuse_four_wide() {
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        let i = f.local(I32);
-        let acc = f.local(I32);
-        f.for_range(i, 0, |f| {
-            f.local_get(acc).local_get(i).i32_add().local_set(acc);
-        });
-        f.local_get(acc);
-        let (_, low) = lowered_for(f);
-        let ops: Vec<u8> = (0..low.len()).map(|s| low.get(s).op).collect();
-        assert!(
-            ops.contains(&FUSED_GG_CMP_BR),
-            "loop bound check fuses to get;get;cmp;br_if: {ops:02x?}"
-        );
-        assert!(
-            ops.contains(&FUSED_UPD),
-            "induction update fuses to get;const;add;set: {ops:02x?}"
-        );
+        assert_eq!(low.get(0).op, op::LOCAL_GET);
+        assert_eq!(low.get(0).x, 0);
+        // One slot per instruction: the const keeps its payload as slot
+        // bits, the add follows in its own slot.
+        assert_eq!(low.get(1).op, op::I32_CONST);
+        assert_eq!(Slot(low.get(1).z).i32(), -99_999);
+        assert_eq!(low.get(2).op, op::I32_ADD);
     }
 
     #[test]
@@ -763,13 +329,7 @@ mod tests {
         let mut saw_branch = false;
         for slot in 0..low.len() {
             let li = low.get(slot);
-            if matches!(
-                li.op,
-                wizard_wasm::opcodes::BR
-                    | wizard_wasm::opcodes::BR_IF
-                    | wizard_wasm::opcodes::IF
-                    | FUSED_CMP_BR
-            ) {
+            if matches!(li.op, op::BR | op::BR_IF | op::IF) {
                 let t = low.target(li.x);
                 assert!((t.slot as usize) <= low.len(), "target slot in range");
                 saw_branch = true;
@@ -779,36 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn probe_patch_roundtrip_preserves_immediates() {
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        f.local_get(0).i32_const(7).i32_add();
-        let (_, low) = lowered_for(f);
-        let ops = low.cow_ops();
-        // Slot 1 is a fused `const;add` head; patching it installs the
-        // probe over the *fused* op while the immediates stay intact, and
-        // the probe handler re-dispatches via the saved byte opcode.
-        let prev = low.patch_probe(&ops, 1);
-        assert_eq!(prev, FUSED_CONST_BIN);
-        let view = LoweredView::overlaid(low.clone(), Rc::clone(&ops));
-        assert_eq!(view.get(1).op, wizard_wasm::opcodes::PROBE);
-        assert_eq!(Slot(view.get(1).z).i32(), 7, "immediate untouched by patching");
-        // Restoring with the *byte* opcode (what the overlay saved) leaves
-        // a correct, merely-unfused instruction.
-        low.restore_op(&ops, 1, wizard_wasm::opcodes::I32_CONST);
-        assert_eq!(view.get(1).op, wizard_wasm::opcodes::I32_CONST);
-        assert_eq!(Slot(view.get(1).z).i32(), 7);
-        // The shared form never saw any of it.
-        assert_eq!(low.get(1).op, FUSED_CONST_BIN);
-    }
-
-    #[test]
     fn empty_lowering_is_consistent() {
-        let low = Lowered::empty();
+        let low = Lowered::lower(&[], &FuncMeta::default());
         assert!(low.is_empty());
         assert_eq!(low.pc_of(0), 0);
         assert_eq!(low.slot_of(0), Some(0));
-        let view = LoweredView::empty();
-        assert!(view.is_empty());
-        assert!(!view.is_overlaid());
     }
 }

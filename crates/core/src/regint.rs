@@ -23,7 +23,7 @@
 //!   operand height, so a parked register frame is indistinguishable
 //!   from a stack-tier frame at the same byte pc;
 //! * fuel-metered (bounded) runs never enter this loop at all
-//!   (`tier_for_call` pins them to the stack interpreter), so there is no
+//!   (`tier_for_call` pins them to the in-place interpreter), so there is no
 //!   mid-function suspension to account for.
 
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use crate::ExecMode;
 pub(crate) fn run_frame(ex: &mut Exec) -> Result<Exit, Trap> {
     debug_assert_eq!(ex.frames.last().map(|f| f.tier), Some(Tier::Reg));
     if ex.metered {
-        // Bounded slices charge fuel in the stack interpreters (see
+        // Bounded slices charge fuel in the in-place interpreter (see
         // `tier_for_call`); a register frame reaching a metered drive
         // loop demotes rather than running unaccounted.
         ex.frames.last_mut().expect("frame").tier = Tier::Interp;
@@ -84,10 +84,9 @@ pub(crate) fn run_jit(ex: &mut Exec, compiled: &crate::jit::Compiled) -> Result<
     }
 }
 
-/// One register-instruction dispatch step. Like the stack interpreter's
-/// `step`, every pattern is a constant so the match compiles to a jump
-/// table with the handler bodies inlined; unlike it, operands are indexed
-/// register reads — the value stack does not move.
+/// One register-instruction dispatch step. Every pattern is a constant so
+/// the match compiles to a jump table with the handler bodies inlined;
+/// operands are indexed register reads — the value stack does not move.
 #[inline(always)]
 fn step<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
     match ri.op {
@@ -274,7 +273,7 @@ fn step<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
 }
 
 /// Loop header: the hotness/OSR site in interpreter mode, a fall-through
-/// in JIT mode. Mirrors the stack interpreter's `op_loop`, except the OSR
+/// in JIT mode. Mirrors the in-place interpreter's `op_loop`, except the OSR
 /// entry key (`ri.x`, the `loop` byte pc) and the parked continuation pc
 /// (`ri.z`) are carried inline instead of being derived from maps.
 fn op_loop<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
@@ -285,7 +284,7 @@ fn op_loop<const JIT: bool>(ex: &mut Exec, ri: RInstr) -> Result<(), Sig> {
         if h >= ex.proc.config.tierup_threshold {
             ex.proc.ensure_compiled(ex.lf);
             let compiled = ex.proc.code[ex.lf].compiled.borrow().clone().expect("just compiled");
-            if let Some(&ip) = compiled.code.osr_entry.get(&ri.x) {
+            if let Some(&(ip, _)) = compiled.code.osr_entry.get(&ri.x) {
                 // The loop head is a park point: every live operand is in
                 // its canonical register, so truncating to the entry
                 // height yields an exact stack-shaped frame to transfer.

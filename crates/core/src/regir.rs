@@ -34,8 +34,8 @@
 //!
 //! Lowering is total-or-nothing per function: any shape the allocator
 //! does not model (register ids beyond `u16`, inconsistent label heights)
-//! returns `None` and that function simply keeps running on the lowered
-//! stack tier.
+//! returns `None` and that function simply keeps running in the in-place
+//! interpreter and the stack-form JIT.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -274,7 +274,7 @@ impl RegFunc {
 
 /// The register form of a whole module: one optional [`RegFunc`] per local
 /// function (a `None` marks a per-function allocator fallback — the
-/// function keeps running on the lowered stack tier), plus build counters.
+/// function keeps running in the in-place interpreter), plus build counters.
 #[derive(Debug)]
 pub struct RegModule {
     funcs: Vec<Option<Arc<RegFunc>>>,

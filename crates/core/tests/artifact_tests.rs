@@ -6,9 +6,7 @@
 use std::sync::Arc;
 
 use wizard_engine::store::Linker;
-use wizard_engine::{
-    CountProbe, EngineConfig, EngineStats, ModuleArtifact, ProbeError, Process, Value,
-};
+use wizard_engine::{CountProbe, EngineConfig, EngineStats, ModuleArtifact, Process, Value};
 use wizard_wasm::builder::{FuncBuilder, ModuleBuilder};
 use wizard_wasm::module::Module;
 use wizard_wasm::types::ValType::I32;
@@ -47,8 +45,8 @@ fn siblings_share_lowered_code_by_pointer_until_a_probe_lands() {
     assert!(Arc::ptr_eq(p1.artifact(), p2.artifact()));
     let f = p1.module().export_func("sum").unwrap();
 
-    // Both processes run correctly and dispatch from the *same* lowered
-    // op stream — pointer equality, not just value equality.
+    // Both processes run correctly and interpret the *same* bytecode —
+    // pointer equality, not just value equality.
     assert_eq!(p1.invoke(f, &[Value::I32(10)]).unwrap(), vec![Value::I32(45)]);
     assert_eq!(p2.invoke(f, &[Value::I32(10)]).unwrap(), vec![Value::I32(45)]);
     assert_eq!(p1.code_identity(f).unwrap(), p2.code_identity(f).unwrap());
@@ -199,27 +197,6 @@ fn instantiate_skips_validation_and_per_function_work() {
 }
 
 #[test]
-fn relower_rebuilds_only_the_process_local_overlay() {
-    let art = artifact();
-    let mut p1 =
-        Process::instantiate(Arc::clone(&art), EngineConfig::interpreter(), &Linker::new())
-            .unwrap();
-    let mut p2 =
-        Process::instantiate(Arc::clone(&art), EngineConfig::interpreter(), &Linker::new())
-            .unwrap();
-    let f = p1.module().export_func("sum").unwrap();
-    let shared = p2.code_identity(f).unwrap();
-    p1.add_local_probe_val(f, 0, CountProbe::new()).unwrap();
-    p1.relower(f).unwrap();
-    assert_eq!(p1.stats().relower_passes, 1);
-    let overlay_after = p1.code_identity(f).unwrap();
-    assert_ne!(overlay_after, shared, "still overlaid (probe intact)");
-    assert!(p1.has_probe_byte(f, 0));
-    assert_eq!(p2.code_identity(f).unwrap(), shared, "sibling untouched by relower");
-    assert!(matches!(p1.relower(99), Err(ProbeError::NotALocalFunction(99))));
-}
-
-#[test]
 fn mid_execution_cow_materialization_is_visible_to_the_running_function() {
     use std::cell::Cell;
     use std::rc::Rc;
@@ -278,7 +255,7 @@ fn mid_execution_rejoin_when_the_last_probe_removes_itself() {
     // A one-shot probe: removes itself on its first fire. It is the
     // function's only probe, so the removal drops the overlay *while the
     // function is executing* — the run must continue correctly on the
-    // shared (re-fused) stream.
+    // shared bytes.
     let fires = Rc::new(Cell::new(0u64));
     let own_id: Rc<Cell<Option<ProbeId>>> = Rc::new(Cell::new(None));
     let (fires2, own2) = (Rc::clone(&fires), Rc::clone(&own_id));

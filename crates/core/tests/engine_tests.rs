@@ -16,11 +16,9 @@ use wizard_wasm::validate::ModuleMeta;
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     use wizard_engine::{Dispatch, ExecMode};
     vec![
-        ("interp", EngineConfig::interpreter()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
         ("jit", EngineConfig::jit()),
         ("jit-no-intrinsics", EngineConfig::jit_no_intrinsics()),
-        ("tiered", EngineConfig::builder().tierup_threshold(4).build()),
         (
             "tiered-bytecode",
             EngineConfig::builder()
@@ -756,53 +754,23 @@ fn stats_track_probe_fires() {
 
 #[test]
 fn lowering_happens_once_and_is_counted() {
+    // The JIT is the lowered form's only consumer: it lowers on first
+    // compile.
     let (m, _) = sum_module();
-    let mut p = proc_with(m, EngineConfig::interpreter());
+    let mut p = proc_with(m, EngineConfig::jit());
     let f = p.module().export_func("sum").unwrap();
     assert_eq!(p.stats().functions_lowered, 0, "lowering is lazy");
     p.invoke(f, &[Value::I32(5)]).unwrap();
     assert_eq!(p.stats().functions_lowered, 1);
     p.invoke(f, &[Value::I32(5)]).unwrap();
     assert_eq!(p.stats().functions_lowered, 1, "second run reuses the cache");
-    // Probe churn patches lowered slots in place: no re-lowering, ever.
+    // Probe churn overwrites bytes and recompiles from the shared
+    // lowering: no re-lowering, ever.
     let id = p.add_local_probe_val(f, 0, CountProbe::new()).unwrap();
     p.invoke(f, &[Value::I32(5)]).unwrap();
     p.remove_probe(id).unwrap();
     assert_eq!(p.stats().functions_lowered, 1);
     assert_eq!(p.stats().relower_passes, 0);
-}
-
-#[test]
-fn relower_rebuilds_and_is_counted() {
-    let (m, _) = sum_module();
-    let mut p = proc_with(m, EngineConfig::interpreter());
-    let f = p.module().export_func("sum").unwrap();
-    let probe = CountProbe::new();
-    let counter = probe.cell();
-    p.add_local_probe_val(f, 0, probe).unwrap();
-    let before = p.invoke(f, &[Value::I32(6)]).unwrap();
-    // Force a re-lowering pass: the rebuilt form re-applies probe patches.
-    p.relower(f).unwrap();
-    assert_eq!(p.stats().relower_passes, 1);
-    let after = p.invoke(f, &[Value::I32(6)]).unwrap();
-    assert_eq!(before, after);
-    assert_eq!(counter.get(), 2, "probe survived the re-lowering");
-    assert!(matches!(p.relower(999), Err(ProbeError::NotALocalFunction(999))));
-
-    // Imported functions have no body to re-lower.
-    let m = {
-        let mut mb = ModuleBuilder::new();
-        let host = mb.import_func("env", "id", &[I32], &[I32]);
-        let mut f = FuncBuilder::new(&[I32], &[I32]);
-        f.local_get(0).call(host);
-        mb.add_func("go", f);
-        mb.build().unwrap()
-    };
-    let mut linker = Linker::new();
-    linker.func("env", "id", |_ctx, args| Ok(vec![args[0]]));
-    let mut p = Process::new(m, EngineConfig::default(), &linker).unwrap();
-    assert!(matches!(p.relower(0), Err(ProbeError::NotALocalFunction(0))));
-    assert!(p.relower(1).is_ok(), "the local function re-lowers");
 }
 
 #[test]
@@ -815,10 +783,11 @@ fn bytecode_dispatch_never_lowers_in_interp_only() {
     assert_eq!(
         p.stats().functions_lowered,
         0,
-        "classic byte dispatch in interpreter-only mode executes without the lowered cache"
+        "the in-place interpreter executes without the lowered form"
     );
-    // Probe-location validation is the one classic-mode consumer of the
-    // pc ↔ slot map: it lowers on demand (documented on Dispatch::Bytecode).
+    // Probe-location validation is the one interpreter-only consumer of
+    // the pc ↔ slot map: it lowers on demand (documented on
+    // Dispatch::Bytecode).
     p.add_local_probe_val(f, 0, CountProbe::new()).unwrap();
     assert_eq!(p.stats().functions_lowered, 1);
 }
@@ -843,12 +812,13 @@ fn probing_the_one_past_the_end_sentinel_is_rejected() {
 
 #[test]
 fn dispatchers_agree_with_probes_installed() {
-    // The classic dispatcher is the semantic reference: both must produce
+    // The in-place interpreter is the semantic reference: the register
+    // dispatcher (which demotes probed functions to it) must produce
     // identical results and identical probe-fire counts on a probed loop.
     let (m, meta) = sum_module();
     let loop_pc = meta.funcs[0].loop_headers[0];
     let mut fires = Vec::new();
-    for config in [EngineConfig::interpreter(), EngineConfig::interpreter_bytecode()] {
+    for config in [EngineConfig::interpreter_register(), EngineConfig::interpreter_bytecode()] {
         let mut p = proc_with(m.clone(), config);
         let f = p.module().export_func("sum").unwrap();
         let probe = CountProbe::new();

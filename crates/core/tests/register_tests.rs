@@ -238,7 +238,7 @@ fn tiered_register_osr_tier_up() {
     assert!(slices > 1);
 }
 
-/// A global probe forces global mode: every frame runs the classic
+/// A global probe forces global mode: every frame runs the in-place
 /// instrumented interpreter even under register dispatch, and removing
 /// the probe hands execution back to the register tier.
 #[test]

@@ -1180,8 +1180,11 @@ fn refill_round(shared: &Shared, idle: bool) -> bool {
 }
 
 /// Finalizes a task: detach its monitor (restoring the zero-overhead
-/// baseline — also for cancelled jobs), snapshot report + stats, resolve
-/// the handle, and fold everything into the fleet aggregates.
+/// baseline — also for cancelled jobs), snapshot report + stats, fold
+/// them into the fleet aggregates, resolve the handle, and only then
+/// retire the job from `in_flight` — so a `drain()` that returns has every
+/// outcome published, and a `wait()` that returns has its job's stats
+/// merged.
 fn finalize(w: usize, shared: &Shared, h: Handoff<Task>, status: JobStatus) {
     let mut t = h.into_inner();
     let report = t.monitor.take().map(|(handle, monitor)| {
@@ -1231,11 +1234,12 @@ fn finalize(w: usize, shared: &Shared, h: Handoff<Task>, status: JobStatus) {
             }
         }
         agg.completed += 1;
-        agg.in_flight -= 1;
-        if agg.in_flight == 0 {
-            shared.idle.notify_all();
-        }
     }
     *t.state.done.lock().expect("job slot poisoned") = Some(outcome);
     t.state.cv.notify_all();
+    let mut agg = shared.agg.lock().expect("aggregate poisoned");
+    agg.in_flight -= 1;
+    if agg.in_flight == 0 {
+        shared.idle.notify_all();
+    }
 }

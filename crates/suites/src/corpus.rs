@@ -974,9 +974,9 @@ mod tests {
                     .unwrap_or_else(|err| panic!("{}: run trapped: {err}", e.name));
                 (out, shims.digest(), shims.total_calls())
             };
-            let lowered = run(EngineConfig::interpreter());
-            let classic = run(EngineConfig::interpreter_bytecode());
-            assert_eq!(lowered, classic, "{}: dispatcher-dependent behavior", e.name);
+            let register = run(EngineConfig::interpreter_register());
+            let bytecode = run(EngineConfig::interpreter_bytecode());
+            assert_eq!(register, bytecode, "{}: dispatcher-dependent behavior", e.name);
             drop(shims);
         }
     }

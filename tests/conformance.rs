@@ -45,10 +45,8 @@ const HAND_START_DATA: &[u8] = include_bytes!("corpus/hand_start_data.wasm");
 /// function against the bytecode reference semantics.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut v = vec![
-        ("interp-lowered", EngineConfig::interpreter()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
         ("jit", EngineConfig::jit()),
-        ("tiered-lowered", EngineConfig::builder().tierup_threshold(2).build()),
         (
             "tiered-bytecode",
             EngineConfig::builder()
@@ -116,7 +114,7 @@ fn corpus_binaries_are_dispatcher_invariant() {
         let reference = ingest_and_run(&name, &bytes, n, EngineConfig::interpreter_bytecode());
         for (cname, config) in configs() {
             let got = ingest_and_run(&name, &bytes, n, config);
-            assert_eq!(got, reference, "{name} on {cname} diverges from classic bytecode");
+            assert_eq!(got, reference, "{name} on {cname} diverges from the in-place interpreter");
         }
         // The trap arm: wasi_io's proc_exit must trap identically too.
         if name == "wasi_io" {

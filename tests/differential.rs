@@ -7,13 +7,12 @@
 //! Every generated module must behave *identically* — results, traps,
 //! monitor reports — across:
 //!
-//! * the lowered interpreter (the new fast path, fused superinstructions
-//!   included) vs the classic byte-walking dispatcher (the semantic
-//!   reference);
-//! * interpreter-only vs JIT-only vs tiered execution;
+//! * the in-place interpreter (the semantic reference) vs JIT-only vs
+//!   tiered execution;
 //! * uninstrumented vs probe-instrumented (hotness counts every
-//!   instruction, exercising probe patches on fused and unfused slots);
-//! * unbounded vs fuel-bounded execution resumed across suspensions.
+//!   instruction, so every instruction carries a probe byte);
+//! * unbounded vs fuel-bounded execution resumed across suspensions, with
+//!   the fuel charged and the suspensions taken identical in every tier.
 
 use std::sync::Arc;
 
@@ -27,10 +26,8 @@ use wizard::wasm::Module;
 
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     vec![
-        ("interp-lowered", EngineConfig::interpreter()),
         ("interp-bytecode", EngineConfig::interpreter_bytecode()),
         ("jit", EngineConfig::jit()),
-        ("tiered-lowered", EngineConfig::builder().tierup_threshold(2).build()),
         (
             "tiered-bytecode",
             EngineConfig::builder()
@@ -62,8 +59,8 @@ fn random_programs_agree_across_dispatchers_and_tiers() {
     }
 }
 
-/// Probe-instrumented runs (hotness counts every instruction — every slot
-/// probed, fused or not) produce identical results AND identical reports
+/// Probe-instrumented runs (hotness counts every instruction — every
+/// instruction probed) produce identical results AND identical reports
 /// across dispatchers and tiers, and never perturb the program.
 #[test]
 fn random_programs_probed_reports_are_dispatcher_invariant() {
@@ -146,14 +143,12 @@ fn random_programs_shared_artifact_processes_match_owned() {
                 0,
                 "seed {seed} config {name}: detach left overlay copies resident"
             );
-            if config.dispatch != Dispatch::Bytecode {
-                let func = probed.module().export_func("run").unwrap();
-                assert_eq!(
-                    probed.code_identity(func).unwrap(),
-                    sibling.code_identity(func).unwrap(),
-                    "seed {seed} config {name}: detach did not rejoin the shared code"
-                );
-            }
+            let func = probed.module().export_func("run").unwrap();
+            assert_eq!(
+                probed.code_identity(func).unwrap(),
+                sibling.code_identity(func).unwrap(),
+                "seed {seed} config {name}: detach did not rejoin the shared code"
+            );
         }
     }
 }
@@ -194,34 +189,57 @@ fn random_programs_lowerings_translation_validate() {
 }
 
 /// Fuel-bounded runs suspended and resumed across tiny slices finish with
-/// the same results, traps, and monitor reports as unbounded runs.
+/// the same results, traps, and monitor reports as unbounded runs — and
+/// every tier charges exactly the interpreter's fuel (one unit per
+/// bytecode instruction) and suspends exactly as often, uninstrumented
+/// and probed alike.
 #[test]
 fn random_programs_bounded_runs_are_transparent() {
     for seed in 0..12u64 {
         let m = random_module(seed + 2000);
         let arg = 7i32;
+        // (fuel consumed, suspensions) of the interp-bytecode arm (the
+        // first config), per instrumentation.
+        let mut oracle: [Option<(u64, u64)>; 2] = [None, None];
         for (name, config) in configs() {
-            let mut unbounded =
-                Process::new(m.clone(), config.clone(), &Linker::new()).expect("instantiates");
-            let mon_u = unbounded.attach_monitor(HotnessMonitor::new()).expect("attach");
-            let expect = unbounded.invoke_export("run", &[Value::I32(arg)]);
+            for (probed, want) in [false, true].into_iter().zip(&mut oracle) {
+                let mut unbounded =
+                    Process::new(m.clone(), config.clone(), &Linker::new()).expect("instantiates");
+                let mon_u = probed
+                    .then(|| unbounded.attach_monitor(HotnessMonitor::new()).expect("attach"));
+                let expect = unbounded.invoke_export("run", &[Value::I32(arg)]);
 
-            let mut bounded =
-                Process::new(m.clone(), config, &Linker::new()).expect("instantiates");
-            let mon_b = bounded.attach_monitor(HotnessMonitor::new()).expect("attach");
-            let got = (|| {
-                let mut out = bounded.run_export_bounded("run", &[Value::I32(arg)], 37)?;
-                while out == RunOutcome::OutOfFuel {
-                    out = bounded.resume(37)?;
+                let mut bounded =
+                    Process::new(m.clone(), config.clone(), &Linker::new()).expect("instantiates");
+                let mon_b =
+                    probed.then(|| bounded.attach_monitor(HotnessMonitor::new()).expect("attach"));
+                let got = (|| {
+                    let mut out = bounded.run_export_bounded("run", &[Value::I32(arg)], 37)?;
+                    while out == RunOutcome::OutOfFuel {
+                        out = bounded.resume(37)?;
+                    }
+                    Ok(out.done().expect("done"))
+                })();
+                assert_eq!(
+                    got, expect,
+                    "seed {seed} config {name} probed {probed}: result differs"
+                );
+                if let (Some(b), Some(u)) = (&mon_b, &mon_u) {
+                    assert_eq!(
+                        b.report(),
+                        u.report(),
+                        "seed {seed} config {name}: bounded report differs"
+                    );
                 }
-                Ok(out.done().expect("done"))
-            })();
-            assert_eq!(got, expect, "seed {seed} config {name}: bounded result differs");
-            assert_eq!(
-                mon_b.report(),
-                mon_u.report(),
-                "seed {seed} config {name}: bounded report differs"
-            );
+                let stats = bounded.stats();
+                let fuel = (stats.fuel_consumed, stats.suspensions);
+                assert_eq!(
+                    fuel,
+                    *want.get_or_insert(fuel),
+                    "seed {seed} config {name} probed {probed}: (fuel, suspensions) differ from \
+                     interp-bytecode"
+                );
+            }
         }
     }
 }
